@@ -3,6 +3,13 @@
 Change-point atom counting, Poisson burst classification, and binomial
 maximum-likelihood fits of survival and hyperfine-relaxation curves with
 uncertainties from the observed information matrix.
+
+All binomial fits share one solver: projected Newton on the box
+constraints (Bertsekas 1982) with analytic first and second derivatives
+of the curve, the observed information where it is positive definite and
+the Fisher information otherwise, and a projected Armijo line search. It
+converges on optima that sit on a bound, such as P4(0) = 1 for a pure
+preparation.
 """
 
 from __future__ import annotations
@@ -12,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import gammaln
 
 from .signals import BurstModel, DetectorModel, PhotonTrace
@@ -240,93 +246,131 @@ def classify_burst(
 # ---------------------------------------------------------------------------
 
 _P_EPS = 1e-9
+_MAX_ITER = 100
+_ARMIJO = 1e-4
+_TAU_STEP = 4.0
 
 
-def _binomial_nll(p: np.ndarray, succ: np.ndarray, tot: np.ndarray) -> float:
-    p = np.clip(p, _P_EPS, 1 - _P_EPS)
-    return float(-np.sum(succ * np.log(p) + (tot - succ) * np.log1p(-p)))
+class _DecayCurve:
+    """p(t) = eq + (start - eq) * exp(-t/tau), the shape of every fitted curve.
 
+    The parameter vector is (tau, eq, start) with each of eq and start
+    dropped when it is held at a given value: survival holds eq = 0 (and
+    start = 1 unless the amplitude is fitted), the joint relaxation fit
+    holds start at 0 or 1 per point.
+    """
 
-def _binomial_nll_grad(p, dp, succ, tot):
-    p = np.clip(p, _P_EPS, 1 - _P_EPS)
-    w = succ / p - (tot - succ) / (1 - p)
-    return -dp.T @ w
+    def __init__(self, eq=None, start=None):
+        self.eq = eq
+        self.start = start
+        self.free = [0] + [i for i, held in ((1, eq), (2, start)) if held is None]
+
+    def _unpack(self, x):
+        rest = iter(x[1:])
+        eq = next(rest) if self.eq is None else self.eq
+        start = next(rest) if self.start is None else self.start
+        return x[0], eq, start
+
+    def p(self, t, x):
+        tau, eq, start = self._unpack(x)
+        with np.errstate(over="ignore", under="ignore"):
+            return eq + (start - eq) * np.exp(-t / tau)
+
+    def derivatives(self, t, x):
+        """Jacobian (n, k) and second derivatives (n, k, k) of p in x."""
+        tau, eq, start = self._unpack(x)
+        with np.errstate(over="ignore", under="ignore"):
+            e = np.exp(-t / tau)
+            de = e * t / tau**2  # de/dtau
+            d2e = de * (t / tau - 2) / tau
+        amp = start - eq
+        jac = np.stack([amp * de, 1 - e, e], axis=1)
+        hess = np.zeros((len(t), 3, 3))
+        hess[:, 0, 0] = amp * d2e
+        hess[:, 0, 1] = hess[:, 1, 0] = -de
+        hess[:, 0, 2] = hess[:, 2, 0] = de
+        f = self.free
+        return jac[:, f], hess[:, f][:, :, f]
 
 
 class _BinomialModel:
-    """Binomial likelihood for a parametric success-probability curve."""
+    """Binomial likelihood of a parametric success-probability curve."""
 
-    def __init__(self, t, succ, tot, p_fn, dp_fn):
+    def __init__(self, t, succ, tot, curve: _DecayCurve):
         self.t = np.asarray(t, dtype=float)
         self.succ = np.asarray(succ, dtype=float)
         self.tot = np.asarray(tot, dtype=float)
-        self.p_fn = p_fn
-        self.dp_fn = dp_fn
+        self.curve = curve
 
     def nll(self, x):
-        return _binomial_nll(self.p_fn(self.t, x), self.succ, self.tot)
+        p = np.clip(self.curve.p(self.t, x), _P_EPS, 1 - _P_EPS)
+        return float(-np.sum(self.succ * np.log(p) + (self.tot - self.succ) * np.log1p(-p)))
+
+    def derivatives(self, x):
+        """Gradient, observed information and Fisher information of the NLL."""
+        p = np.clip(self.curve.p(self.t, x), _P_EPS, 1 - _P_EPS)
+        jac, d2p = self.curve.derivatives(self.t, x)
+        fail = self.tot - self.succ
+        w = self.succ / p - fail / (1 - p)  # d loglik / dp
+        grad = -jac.T @ w
+        observed = (jac.T * (self.succ / p**2 + fail / (1 - p) ** 2)) @ jac
+        observed -= np.einsum("i,ijk->jk", w, d2p)
+        fisher = (jac.T * (self.tot / (p * (1 - p)))) @ jac
+        return grad, observed, fisher
 
     def grad(self, x):
-        return _binomial_nll_grad(
-            self.p_fn(self.t, x), self.dp_fn(self.t, x), self.succ, self.tot
-        )
+        return self.derivatives(x)[0]
 
-    def hessian(self, x, rel_step=1e-6):
-        k = len(x)
-        h = np.empty((k, k))
-        for j in range(k):
-            step = rel_step * max(abs(x[j]), 1e-3)
-            xp, xm = x.copy(), x.copy()
-            xp[j] += step
-            xm[j] -= step
-            h[:, j] = (self.grad(xp) - self.grad(xm)) / (2 * step)
-        return 0.5 * (h + h.T)
-
-    def _projected_grad(self, x, lower, upper):
-        # KKT: at an active lower bound only a negative gradient component
-        # signals non-optimality (and vice versa at an upper bound)
-        g = self.grad(x)
-        g = np.where((x <= lower + 1e-12) & (g > 0), 0.0, g)
-        g = np.where((x >= upper - 1e-12) & (g < 0), 0.0, g)
-        return g
+    def hessian(self, x):
+        return self.derivatives(x)[1]
 
     def solve(self, x0, param_names, lower, upper):
-        x0 = np.asarray(x0, dtype=float)
-        res = minimize(
-            self.nll,
-            x0,
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 20000, "maxfev": 20000},
-        )
-        x = np.clip(res.x, lower, upper)
-        # Newton polish to drive the (projected) gradient to zero
-        for _ in range(60):
-            g = self._projected_grad(x, lower, upper)
-            if np.linalg.norm(g) < 1e-9:
+        """Projected Newton (Bertsekas 1982) with an Armijo search on the box.
+
+        A parameter at a bound whose gradient pushes it outward is held
+        there; the others take a Newton step on the observed information,
+        or on the Fisher information where the observed one is not
+        positive definite.
+        """
+        x = np.clip(np.asarray(x0, dtype=float), lower, upper)
+        f = self.nll(x)
+        for _ in range(_MAX_ITER):
+            g, observed, fisher = self.derivatives(x)
+            free = ~_held(x, g, lower, upper)
+            if not np.all(np.isfinite(g)) or np.linalg.norm(g[free]) < 1e-9:
                 break
-            h = self.hessian(x)
-            try:
-                step = np.linalg.solve(h, self.grad(x))
-            except np.linalg.LinAlgError:
+            sub = np.ix_(free, free)
+            direction = _newton_direction(g[free], observed[sub], fisher[sub])
+            if direction is None:
                 break
+            step = np.zeros_like(x)
+            step[free] = direction
+            # tau moves by at most a factor _TAU_STEP per iteration: a longer
+            # step can land where exp(-t/tau) is flat over the data (tau -> 0
+            # or infinity), and there the gradient and information vanish
+            lo, hi = lower.copy(), upper.copy()
+            lo[0] = max(lower[0], x[0] / _TAU_STEP)
+            hi[0] = min(upper[0], x[0] * _TAU_STEP)
+            # accept-tolerance scales with |f| (float resolution of the NLL)
+            tol = 1e-12 + 1e-12 * abs(f)
             scale = 1.0
-            f0 = self.nll(x)
-            # accept-tolerance scales with |f0| (float resolution of the NLL)
-            tol = 1e-12 + 1e-12 * abs(f0)
-            for _ in range(30):
-                x_new = np.clip(x - scale * step, lower, upper)
-                if self.nll(x_new) <= f0 + tol:
+            for _ in range(40):
+                x_new = np.clip(x + scale * step, lo, hi)
+                f_new = self.nll(x_new)
+                if f_new <= f + _ARMIJO * (g @ (x_new - x)) + tol:
                     break
                 scale *= 0.5
+            else:
+                break
             if np.array_equal(x_new, x):
                 break
-            x = x_new
-        g = self._projected_grad(x, lower, upper)
+            x, f = x_new, f_new
+        g, observed, _ = self.derivatives(x)
+        g = np.where(_held(x, g, lower, upper), 0.0, g)
         if not np.all(np.isfinite(g)) or np.linalg.norm(g) > 1e-4:
             raise FitError(f"fit did not converge (gradient norm {np.linalg.norm(g):.3g})")
-        h = self.hessian(x)
         try:
-            cov = np.linalg.inv(h)
+            cov = np.linalg.inv(observed)
         except np.linalg.LinAlgError as exc:
             raise FitError("observed information matrix is singular") from exc
         if np.any(np.diag(cov) < 0):
@@ -336,20 +380,36 @@ class _BinomialModel:
             parameters=dict(zip(param_names, (float(v) for v in x))),
             standard_errors=dict(zip(param_names, (float(e) for e in errs))),
             covariance=cov,
-            log_likelihood=-self.nll(x),
+            log_likelihood=-f,
             n_points=len(self.t),
         )
+
+
+def _held(x, g, lower, upper):
+    # KKT: at an active lower bound only a negative gradient component
+    # signals non-optimality (and vice versa at an upper bound)
+    return ((x <= lower + 1e-12) & (g > 0)) | ((x >= upper - 1e-12) & (g < 0))
+
+
+def _newton_direction(g, observed, fisher):
+    for info in (observed, fisher):
+        try:
+            np.linalg.cholesky(info)  # positive definite?
+            return -np.linalg.solve(info, g)
+        except np.linalg.LinAlgError:
+            continue
+    return None
 
 
 def _bootstrap_errors(model: _BinomialModel, fit: FitResult, param_names, lower, upper,
                       n_resamples: int, seed: int = 0) -> dict[str, float]:
     rng = np.random.default_rng(seed)
     x_hat = np.array([fit.parameters[k] for k in param_names])
-    p_hat = np.clip(model.p_fn(model.t, x_hat), 0.0, 1.0)
+    p_hat = np.clip(model.curve.p(model.t, x_hat), 0.0, 1.0)
     draws = []
     for _ in range(n_resamples):
         succ = rng.binomial(model.tot.astype(int), p_hat)
-        resampled = _BinomialModel(model.t, succ, model.tot, model.p_fn, model.dp_fn)
+        resampled = _BinomialModel(model.t, succ, model.tot, model.curve)
         try:
             refit = resampled.solve(x_hat, param_names, lower, upper)
         except FitError:
@@ -361,17 +421,17 @@ def _bootstrap_errors(model: _BinomialModel, fit: FitResult, param_names, lower,
     return dict(zip(param_names, (float(s) for s in sd)))
 
 
-def _survival_p(t, x):
-    if len(x) == 1:
-        return np.exp(-t / x[0])
-    return x[1] * np.exp(-t / x[0])
-
-
-def _survival_dp(t, x):
-    e = np.exp(-t / x[0])
-    if len(x) == 1:
-        return (e * t / x[0] ** 2)[:, None]
-    return np.stack([x[1] * e * t / x[0] ** 2, e], axis=1)
+def _best_of_starts(model: _BinomialModel, starts, names, lower, upper) -> FitResult | None:
+    """Highest-likelihood fit over the starting points that converge."""
+    best = None
+    for x0 in starts:
+        try:
+            fit = model.solve(x0, names, lower, upper)
+        except FitError:
+            continue
+        if best is None or fit.log_likelihood > best.log_likelihood:
+            best = fit
+    return best
 
 
 def fit_exponential_survival(points, offset_free: bool = False, bootstrap: int = 0) -> FitResult:
@@ -379,7 +439,8 @@ def fit_exponential_survival(points, offset_free: bool = False, bootstrap: int =
 
     points: iterable of (t_hold_s, survived, total). The amplitude a is
     fixed to 1 unless offset_free is set (magnetic trap: the immediate
-    spin-projection loss shows up as a fitted a ~ 0.5).
+    spin-projection loss shows up as a fitted a ~ 0.5). Solved by the
+    projected Newton engine from a log-linear starting point.
     """
     pts = sorted((float(t), int(s), int(n)) for t, s, n in points)
     if len({t for t, _, _ in pts}) < 2:
@@ -401,28 +462,27 @@ def fit_exponential_survival(points, offset_free: bool = False, bootstrap: int =
         names = ("tau", "a")
         x0 = [tau0, min(float(frac.max()), 1.0)]
         lower, upper = np.array([1e-9, 1e-9]), np.array([np.inf, 1.0])
+        curve = _DecayCurve(eq=0.0)
     else:
         names = ("tau",)
         x0 = [tau0]
         lower, upper = np.array([1e-9]), np.array([np.inf])
-    model = _BinomialModel(t, succ, tot, _survival_p, _survival_dp)
+        curve = _DecayCurve(eq=0.0, start=1.0)
+    model = _BinomialModel(t, succ, tot, curve)
     fit = model.solve(x0, names, lower, upper)
     if bootstrap:
         fit.bootstrap_errors = _bootstrap_errors(model, fit, names, lower, upper, bootstrap)
     return fit
 
 
-def _relax_p(t, x):
-    tau, peq, p0 = x
-    with np.errstate(over="ignore", under="ignore"):
-        return peq + (p0 - peq) * np.exp(-t / tau)
-
-
-def _relax_dp(t, x):
-    tau, peq, p0 = x
-    with np.errstate(over="ignore", under="ignore"):
-        e = np.exp(-t / tau)
-        return np.stack([(p0 - peq) * e * t / tau**2, 1 - e, e], axis=1)
+def _relaxation_arm(points):
+    pts = sorted((float(t), float(p), int(n)) for t, p, n in points)
+    t = np.array([p[0] for p in pts])
+    p4 = np.array([p[1] for p in pts])
+    tot = np.array([p[2] for p in pts])
+    if np.any(tot <= 0) or np.any(p4 < 0) or np.any(p4 > 1):
+        raise ValueError("require n_atoms > 0 and p4 in [0, 1]")
+    return t, p4, tot
 
 
 def fit_relaxation(points, f_initial: int, bootstrap: int = 0) -> FitResult:
@@ -430,44 +490,32 @@ def fit_relaxation(points, f_initial: int, bootstrap: int = 0) -> FitResult:
 
     points: iterable of (t_s, p4_hat, n_atoms); successes are
     round(p4_hat * n_atoms). Each preparation (F=3 or F=4) is fitted
-    independently with all three parameters free.
+    independently with all three parameters free in tau > 0 and
+    P4eq, P4(0) in [0, 1]; the optimum may sit on a bound (a pure
+    preparation gives P4(0) = 0 or 1). The projected Newton engine runs
+    from four starting values of tau and the best converged fit is kept.
     """
     if f_initial not in (3, 4):
         raise ValueError("f_initial must be 3 or 4")
-    pts = sorted((float(t), float(p), int(n)) for t, p, n in points)
-    if len(pts) < 3:
+    t, p4, tot = _relaxation_arm(points)
+    if len(t) < 3:
         raise ValueError("need at least 3 time points")
-    t = np.array([p[0] for p in pts])
-    p4 = np.array([p[1] for p in pts])
-    tot = np.array([p[2] for p in pts])
-    if np.any(tot <= 0) or np.any(p4 < 0) or np.any(p4 > 1):
-        raise ValueError("require n_atoms > 0 and p4 in [0, 1]")
-    succ = np.round(p4 * tot)
+    model = _BinomialModel(t, np.round(p4 * tot), tot, _DecayCurve())
 
     p0_guess = 1.0 if f_initial == 4 else 0.0
     peq_guess = float(np.mean(p4[t >= np.median(t)]))
     span = max(t.max() - t.min(), 1e-6)
-    best = None
-    for tau0 in span * np.array([0.1, 0.3, 1.0, 3.0]):
-        x0 = [tau0, min(max(peq_guess, 0.05), 0.95), min(max(p0_guess, 0.02), 0.98)]
-        model = _BinomialModel(t, succ, tot, _relax_p, _relax_dp)
-        try:
-            fit = model.solve(
-                x0, ("tau", "p4_eq", "p4_0"),
-                np.array([1e-9, 0.0, 0.0]), np.array([np.inf, 1.0, 1.0]),
-            )
-        except FitError:
-            continue
-        if best is None or fit.log_likelihood > best.log_likelihood:
-            best = fit
-            best_model = model
+    names = ("tau", "p4_eq", "p4_0")
+    lower, upper = np.array([1e-9, 0.0, 0.0]), np.array([np.inf, 1.0, 1.0])
+    starts = [
+        [tau0, min(max(peq_guess, 0.05), 0.95), min(max(p0_guess, 0.02), 0.98)]
+        for tau0 in span * np.array([0.1, 0.3, 1.0, 3.0])
+    ]
+    best = _best_of_starts(model, starts, names, lower, upper)
     if best is None:
         raise FitError("relaxation fit did not converge from any starting point")
     if bootstrap:
-        best.bootstrap_errors = _bootstrap_errors(
-            best_model, best, ("tau", "p4_eq", "p4_0"),
-            np.array([1e-9, 0.0, 0.0]), np.array([np.inf, 1.0, 1.0]), bootstrap,
-        )
+        best.bootstrap_errors = _bootstrap_errors(model, best, names, lower, upper, bootstrap)
     return best
 
 
@@ -476,47 +524,24 @@ def fit_relaxation_joint(points_f3, points_f4, bootstrap: int = 0) -> FitResult:
 
     Shares (tau, p4_eq) between the arms and pins P4(0) to 0 and 1; this
     is the efficient estimator when the preparation purity is trusted.
+    Solved by the projected Newton engine from three starting values of
+    tau; the best converged fit is kept.
     """
-
-    def unpack(points):
-        pts = sorted((float(t), float(p), int(n)) for t, p, n in points)
-        t = np.array([p[0] for p in pts])
-        p4 = np.array([p[1] for p in pts])
-        tot = np.array([p[2] for p in pts])
-        if np.any(tot <= 0) or np.any(p4 < 0) or np.any(p4 > 1):
-            raise ValueError("require n_atoms > 0 and p4 in [0, 1]")
-        return t, np.round(p4 * tot), tot
-
-    t3, s3, n3 = unpack(points_f3)
-    t4, s4, n4 = unpack(points_f4)
+    t3, p3, n3 = _relaxation_arm(points_f3)
+    t4, p4, n4 = _relaxation_arm(points_f4)
     if len(t3) + len(t4) < 3:
         raise ValueError("need at least 3 time points in total")
     t = np.concatenate([t3, t4])
-    succ = np.concatenate([s3, s4])
+    succ = np.concatenate([np.round(p3 * n3), np.round(p4 * n4)])
     tot = np.concatenate([n3, n4])
-    p0 = np.concatenate([np.zeros_like(t3), np.ones_like(t4)])
-
-    def p_fn(tt, x):
-        tau, peq = x
-        return peq + (p0 - peq) * np.exp(-tt / tau)
-
-    def dp_fn(tt, x):
-        tau, peq = x
-        e = np.exp(-tt / tau)
-        return np.stack([(p0 - peq) * e * tt / tau**2, 1 - e], axis=1)
+    start = np.concatenate([np.zeros_like(t3), np.ones_like(t4)])
+    model = _BinomialModel(t, succ, tot, _DecayCurve(start=start))
 
     span = max(t.max() - t.min(), 1e-6)
     names = ("tau", "p4_eq")
     lower, upper = np.array([1e-9, 0.0]), np.array([np.inf, 1.0])
-    model = _BinomialModel(t, succ, tot, p_fn, dp_fn)
-    best = None
-    for tau0 in span * np.array([0.1, 0.3, 1.0]):
-        try:
-            fit = model.solve([tau0, 0.5], names, lower, upper)
-        except FitError:
-            continue
-        if best is None or fit.log_likelihood > best.log_likelihood:
-            best = fit
+    starts = [[tau0, 0.5] for tau0 in span * np.array([0.1, 0.3, 1.0])]
+    best = _best_of_starts(model, starts, names, lower, upper)
     if best is None:
         raise FitError("joint relaxation fit did not converge from any starting point")
     if bootstrap:

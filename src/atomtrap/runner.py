@@ -73,6 +73,18 @@ def _non_negative(v):
     return v
 
 
+def _at_least_one(v):
+    if v < 1:
+        raise ValueError("must be >= 1")
+    return v
+
+
+def _seed(v):
+    if not 0 <= v < 2**64:
+        raise ValueError("must be in [0, 2**64)")
+    return v
+
+
 def _fraction(v):
     if not (0 <= v <= 1):
         raise ValueError("must be in [0, 1]")
@@ -135,11 +147,11 @@ _SCHEMA = {
 }
 
 _RANGES = {
-    ("experiment", "master_seed"): _non_negative,
+    ("experiment", "master_seed"): _seed,
     ("trap", "power_w"): _positive,
     ("trap", "waist_m"): _positive,
     ("trap", "wavelength_m"): _positive,
-    ("trap", "raman_suppression"): lambda v: v if v >= 1 else (_ for _ in ()).throw(ValueError("must be >= 1")),
+    ("trap", "raman_suppression"): _at_least_one,
     ("trap", "intensity_averaging_factor"): _unit_fraction,
     ("trap", "dipole_lifetime_s"): _positive,
     ("trap", "magnetic_lifetime_s"): _positive,
@@ -504,8 +516,9 @@ def _relaxation_experiment(cfg: ExperimentConfig) -> Dataset:
     fits = {}
     arm3 = [(p["t_s"], p["p4"], p["n"]) for p in points if p["f_initial"] == 3 and p["n"] > 0]
     arm4 = [(p["t_s"], p["p4"], p["n"]) for p in points if p["f_initial"] == 4 and p["n"] > 0]
-    # the per-arm three-parameter fits are very noisy at low statistics and
-    # may legitimately fail; the joint fit is the headline estimator
+    # a per-arm fit raises FitError only on points that do not identify all
+    # three parameters (a flat arm, say); the joint fit is the headline
+    # estimator
     if len(arm3) >= 3:
         try:
             fits["relaxation_f3"] = fit_relaxation(arm3, f_initial=3)

@@ -10,7 +10,9 @@ from atomtrap import (
     DetectorModel,
     FitError,
     FitResult,
+    HyperfineRates,
     PhotonTrace,
+    analytic_occupation,
     classify_burst,
     detect_steps,
     fit_exponential_survival,
@@ -19,6 +21,7 @@ from atomtrap import (
     infer_atom_numbers,
     run_stream,
 )
+from atomtrap.analysis import _BinomialModel, _DecayCurve
 
 
 def constant_trace(rate, n_bins, stream):
@@ -316,6 +319,69 @@ class TestRelaxationFit:
         f4 = fit_relaxation(p4, f_initial=4)
         sigma = np.hypot(f3.standard_errors["tau"], f4.standard_errors["tau"])
         assert abs(f3.parameters["tau"] - f4.parameters["tau"]) < 2 * sigma
+
+
+# relaxation data as the experiments produce it: 8 points x 90 atoms per
+# arm, drawn from the exact occupation at the reference trap
+REF_HF = HyperfineRates(r_4to3=7 / 16 * 0.2639, r_3to4=9 / 16 * 0.2639)
+FAMILY_T = np.array([3, 4, 4.5, 5, 5.5, 6, 8, 12.0])
+
+
+def relaxation_family_arms(rep):
+    rng = run_stream(7272, rep)
+    arms = {}
+    for f in (3, 4):
+        k = rng.binomial(90, analytic_occupation(f, REF_HF, FAMILY_T))
+        arms[f] = [(t, kk / 90, 90) for t, kk in zip(FAMILY_T, k)]
+    return arms
+
+
+class TestBinomialEngine:
+    T = np.array([1, 2, 3, 4, 6, 8, 10, 12.0])
+    # curve, time points, nominal parameters (tau first)
+    CURVES = {
+        "survival_tau": (_DecayCurve(eq=0.0, start=1.0), T * 6, [51.0]),
+        "survival_tau_a": (_DecayCurve(eq=0.0), T * 6, [51.0, 0.5]),
+        "relaxation": (_DecayCurve(), T, [3.8, 0.56, 0.9]),
+        "joint": (_DecayCurve(start=np.repeat([0.0, 1.0], 8)), np.tile(T, 2), [3.8, 0.56]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CURVES))
+    def test_analytic_hessian_matches_gradient_differences(self, name):
+        curve, t, nominal = self.CURVES[name]
+        rng = run_stream(112, 0)
+        succ = rng.binomial(200, curve.p(t, np.array(nominal)))
+        model = _BinomialModel(t, succ, np.full(len(t), 200), curve)
+        for _ in range(5):
+            x = np.array([nominal[0] * rng.uniform(0.3, 3.0),
+                          *rng.uniform(0.1, 0.9, len(nominal) - 1)])
+            fd = np.empty((len(x), len(x)))
+            for j in range(len(x)):
+                h = 1e-5 * x[j]
+                xp, xm = x.copy(), x.copy()
+                xp[j] += h
+                xm[j] -= h
+                fd[:, j] = (model.grad(xp) - model.grad(xm)) / (2 * h)
+            analytic = model.hessian(x)
+            assert np.abs(analytic - fd).max() <= 1e-5 * np.abs(analytic).max()
+
+    def test_bound_optima_converge(self):
+        failures = {3: 0, 4: 0}
+        for rep in range(40):
+            arms = relaxation_family_arms(rep)
+            for f in (3, 4):
+                try:
+                    fit_relaxation(arms[f], f_initial=f)
+                except FitError:
+                    failures[f] += 1
+        assert failures[3] <= 2 and failures[4] <= 2
+
+    def test_pure_preparation_reaches_bound(self):
+        # the optimum sits on P4(0) = 1 at log-likelihood -448.63; a
+        # stationary point inside the box, at tau ~ 0.075 s, has only -451.80
+        fit = fit_relaxation(relaxation_family_arms(32)[4], f_initial=4)
+        assert fit.parameters["p4_0"] == 1.0
+        assert fit.log_likelihood >= -448.64
 
 
 class TestFitResultJson:

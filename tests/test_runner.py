@@ -47,6 +47,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="waist_m"):
             parse_config(MINIMAL + "[trap]\nwaist_m = -1\n")
 
+    def test_master_seed_beyond_64_bits(self):
+        assert parse_config(MINIMAL + f"master_seed = {2**64 - 1}\n").master_seed == 2**64 - 1
+        with pytest.raises(ConfigError, match="master_seed"):
+            parse_config(MINIMAL + f"master_seed = {2**64}\n")
+
+    def test_raman_suppression_at_least_one(self):
+        with pytest.raises(ConfigError, match="must be >= 1"):
+            parse_config(MINIMAL + "[trap]\nraman_suppression = 0.5\n")
+
     def test_parse_error_carries_line(self):
         with pytest.raises(ConfigError, match="line"):
             parse_config("[experiment\nkind = lifetime\n")

@@ -41,3 +41,12 @@ def test_no_block_overlap():
 def test_negative_index_rejected():
     with pytest.raises(ValueError):
         run_stream(0, -1)
+
+
+def test_seed_beyond_64_bits_rejected():
+    # s and s + 2**64 must not silently share a stream
+    run_stream(2**64 - 1, 0)
+    with pytest.raises(ValueError, match="master_seed"):
+        run_stream(2**64 + 5, 0)
+    with pytest.raises(ValueError, match="master_seed"):
+        run_stream(-1, 0)

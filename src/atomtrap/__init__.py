@@ -34,6 +34,8 @@ from .kinetics import (
     magnetic_trap_survival,
     hyperfine_telegraph,
     analytic_occupation,
+    mot_endpoint,
+    hyperfine_endpoint,
 )
 from .signals import (
     DetectorModel,
@@ -68,6 +70,10 @@ from .sequence import (
     build_protocol,
     chain,
     validate_sequence,
+    Phase,
+    SequencePlan,
+    compile_sequence,
+    run_plan,
     simulate_sequence,
     sequence_to_csv,
     sequence_from_csv,

@@ -20,6 +20,8 @@ __all__ = [
     "magnetic_trap_survival",
     "hyperfine_telegraph",
     "analytic_occupation",
+    "mot_endpoint",
+    "hyperfine_endpoint",
 ]
 
 
@@ -228,3 +230,49 @@ def analytic_occupation(f_initial: int, rates: HyperfineRates, t) -> float:
     p_eq = rates.p4_equilibrium
     out = p_eq + (p0 - p_eq) * np.exp(-rates.total * t)
     return float(out) if out.ndim == 0 else out
+
+
+def mot_endpoint(rates: MotRates, n0: int, t: float, rng: np.random.Generator) -> int:
+    """Exact MOT atom number after time t without simulating the path (beta = 0).
+
+    With no two-body loss the atoms present at t = 0 survive independently
+    with probability exp(-gamma t) and the atoms loaded since form an
+    independent Poisson number of mean R (1 - exp(-gamma t)) / gamma, so
+    N(t) ~ Bin(n0, exp(-gamma t)) + Poisson(R (1 - exp(-gamma t)) / gamma);
+    the gamma = 0 limit is n0 + Poisson(R t). This is the law of
+    gillespie_mot(rates, n0, t, rng).final_value().
+    """
+    if rates.two_body_pair_rate != 0.0:
+        raise ValueError("the closed-form endpoint needs two_body_pair_rate = 0")
+    if t < 0:
+        raise ValueError("t must be non-negative")
+    if n0 < 0:
+        raise ValueError("n0 must be non-negative")
+    gamma = rates.one_body_loss
+    if gamma == 0.0:
+        kept, mean_loaded = int(n0), rates.loading_rate_r * t
+    else:
+        lost = -np.expm1(-gamma * t)  # 1 - exp(-gamma t) without cancellation
+        kept = int(rng.binomial(n0, 1.0 - lost)) if n0 else 0
+        mean_loaded = rates.loading_rate_r * lost / gamma
+    return kept + (int(rng.poisson(mean_loaded)) if mean_loaded > 0 else 0)
+
+
+def hyperfine_endpoint(
+    n_f4: int, n_f3: int, rates: HyperfineRates, t: float, rng: np.random.Generator
+) -> int:
+    """Number of atoms in F=4 after time t, from n_f4 atoms in F=4 and n_f3 in F=3.
+
+    Each atom's final F is an independent Bernoulli draw with the
+    analytic_occupation of its initial state, the endpoint law of
+    hyperfine_telegraph(f, rates, t, rng).final_value(); the F=4 count is
+    their sum, drawn as the two binomials in one vectorised call.
+    """
+    if n_f4 < 0 or n_f3 < 0:
+        raise ValueError("atom counts must be non-negative")
+    if t < 0:
+        raise ValueError("t must be non-negative")
+    if t == 0 or n_f4 + n_f3 == 0:
+        return int(n_f4)
+    p4 = (analytic_occupation(4, rates, t), analytic_occupation(3, rates, t))
+    return int(rng.binomial((n_f4, n_f3), p4).sum())

@@ -27,7 +27,7 @@ from .analysis import (
     fit_relaxation_joint,
 )
 from .kinetics import HyperfineRates, MotRates, gillespie_mot, magnetic_trap_survival
-from .sequence import PhysicsBundle, build_protocol, chain, simulate_sequence
+from .sequence import PhysicsBundle, build_protocol, chain, compile_sequence, run_plan
 from .signals import BurstModel, DetectorModel, PhotonTrace, synthesize_mot_trace
 from .streams import run_stream
 
@@ -382,137 +382,129 @@ class Dataset:
     traces: list[tuple[str, PhotonTrace]] = field(default_factory=list)
 
 
-def _magnetic_experiment(cfg: ExperimentConfig) -> Dataset:
-    """Magnetic-trap control: spin projection then exponential decay per run."""
-    tau = cfg.trap["magnetic_lifetime_s"]
-    load_p = cfg.loading_efficiency()
-    points = []
-    counters: dict[str, list[int]] = {}
-    counter = 0
-    for t_hold in cfg.schedule:
-        survived = total = 0
-        used = []
-        for _ in range(cfg.repetitions):
-            rng = run_stream(cfg.master_seed, counter)
-            used.append(counter)
-            counter += 1
-            n0 = cfg.atoms_per_run
-            if load_p < 1.0 and n0:
-                n0 = int(rng.binomial(n0, load_p))
-            survived += magnetic_trap_survival(n0, tau, t_hold, rng)
-            total += cfg.atoms_per_run
-        points.append(
-            {
-                "t_hold_s": t_hold,
-                "survived": survived,
-                "total": total,
-                "fraction": survived / total if total else 0.0,
-            }
-        )
-        counters[f"t={t_hold!r}"] = used
-    fits = {}
-    fit_points = [(p["t_hold_s"], p["survived"], p["total"]) for p in points]
-    if len(cfg.schedule) >= 2:
-        fits["survival"] = fit_exponential_survival(fit_points, offset_free=True)
+def _dataset(cfg: ExperimentConfig, points, counters, fits=None, traces=None) -> Dataset:
     return Dataset(
         kind=cfg.kind,
         master_seed=cfg.master_seed,
         config_echo=serialize_config(cfg),
         points=points,
-        fits=fits,
+        fits=fits or {},
         run_counters=counters,
+        traces=traces or [],
     )
 
 
-def _transfer_experiment(cfg: ExperimentConfig, fit: bool) -> Dataset:
-    """Transfer -> hold -> recapture sequences; optionally fit the decay."""
-    bundle = cfg.physics_bundle()
-    seqp = cfg.sequence
-    points = []
+def _repeat(cfg: ExperimentConfig, arms) -> tuple[list[tuple[int, int]], dict[str, list[int]]]:
+    """Run every arm cfg.repetitions times, each run on its own stream.
+
+    arms: (run_counters key, run) pairs in schedule order, where run(rng)
+    returns two counts to be summed over the repetitions. Run counters are
+    consecutive across the arms. Returns the per-arm sums and the counters.
+    """
+    sums = []
     counters: dict[str, list[int]] = {}
     counter = 0
-    for t_hold in cfg.schedule:
-        seq = chain(
-            build_protocol("transfer", overlap_s=seqp["overlap_s"]),
-            max(t_hold, 1e-12),  # keep a hold interval so the transfer is booked
-            build_protocol("recapture", overlap_s=seqp["overlap_s"]),
-        )
-        survived = total = 0
-        used = []
-        for _ in range(cfg.repetitions):
-            rng = run_stream(cfg.master_seed, counter)
-            used.append(counter)
-            counter += 1
-            rec = simulate_sequence(seq, cfg.atoms_per_run, bundle, rng)
-            survived += rec.recaptured_n or 0
-            total += rec.prepared_n or 0
-        points.append(
-            {
-                "t_hold_s": t_hold,
-                "survived": survived,
-                "total": total,
-                "fraction": survived / total if total else 0.0,
-            }
-        )
-        counters[f"t={t_hold!r}"] = used
+    for key, run in arms:
+        used = list(range(counter, counter + cfg.repetitions))
+        counter += cfg.repetitions
+        a = b = 0
+        for index in used:
+            x, y = run(run_stream(cfg.master_seed, index))
+            a += x
+            b += y
+        sums.append((a, b))
+        counters[key] = used
+    return sums, counters
+
+
+def _survival_experiment(cfg: ExperimentConfig) -> Dataset:
+    """Survival against hold time: magnetic-trap holds, or transfer -> hold -> recapture.
+
+    A magnetic run applies the spin projection then exponential decay to the
+    loaded atoms and counts against the atoms per run; a dipole run counts
+    recaptured against prepared atoms. lifetime and magnetic_lifetime fit
+    the decay.
+    """
+    if cfg.kind == "magnetic_lifetime":
+        tau = cfg.trap["magnetic_lifetime_s"]
+        load_p = cfg.loading_efficiency()
+
+        def runs_at(t_hold):
+            def run(rng):
+                n0 = cfg.atoms_per_run
+                if load_p < 1.0 and n0:
+                    n0 = int(rng.binomial(n0, load_p))
+                return magnetic_trap_survival(n0, tau, t_hold, rng), cfg.atoms_per_run
+            return run
+    else:
+        bundle = cfg.physics_bundle()
+        overlap = cfg.sequence["overlap_s"]
+
+        def runs_at(t_hold):
+            plan = compile_sequence(chain(
+                build_protocol("transfer", overlap_s=overlap),
+                t_hold,
+                build_protocol("recapture", overlap_s=overlap),
+            ))
+
+            def run(rng):
+                rec = run_plan(plan, cfg.atoms_per_run, bundle, rng)
+                return rec.recaptured_n or 0, rec.prepared_n or 0
+            return run
+    sums, counters = _repeat(cfg, [(f"t={t!r}", runs_at(t)) for t in cfg.schedule])
+    points = [
+        {
+            "t_hold_s": t_hold,
+            "survived": survived,
+            "total": total,
+            "fraction": survived / total if total else 0.0,
+        }
+        for t_hold, (survived, total) in zip(cfg.schedule, sums)
+    ]
     fits = {}
-    if fit and len(cfg.schedule) >= 2:
+    if cfg.kind != "transfer_efficiency" and len(cfg.schedule) >= 2:
         fit_points = [(p["t_hold_s"], p["survived"], p["total"]) for p in points]
-        fits["survival"] = fit_exponential_survival(fit_points, offset_free=False)
-    return Dataset(
-        kind=cfg.kind,
-        master_seed=cfg.master_seed,
-        config_echo=serialize_config(cfg),
-        points=points,
-        fits=fits,
-        run_counters=counters,
-    )
+        fits["survival"] = fit_exponential_survival(
+            fit_points, offset_free=cfg.kind == "magnetic_lifetime")
+    return _dataset(cfg, points, counters, fits)
+
+
+def _prepare_detect_plan(cfg: ExperimentConfig, f_init: int, t_hold: float):
+    seqp = cfg.sequence
+    return compile_sequence(chain(
+        build_protocol(f"prepare_f{f_init}", overlap_s=seqp["overlap_s"], delay_s=seqp["delay_s"]),
+        t_hold,
+        build_protocol("detect", gap_s=seqp["gap_s"], window_s=seqp["window_s"]),
+    ))
+
+
+def _burst(rec) -> PhotonTrace:
+    return next(tr for name, tr in rec.traces if name == "detect")
 
 
 def _relaxation_experiment(cfg: ExperimentConfig) -> Dataset:
     bundle = cfg.physics_bundle()
-    seqp = cfg.sequence
     burst = cfg.burst_model()
+
+    def arm(f_init, t_hold):
+        plan = _prepare_detect_plan(cfg, f_init, t_hold)
+
+        def run(rng):
+            rec = run_plan(plan, cfg.atoms_per_run, bundle, rng)
+            return int(_burst(rec).counts.sum()), rec.survivors or 0
+        return run
+
+    grid = [(t, f) for t in cfg.schedule for f in (3, 4)]
+    sums, counters = _repeat(cfg, [(f"t={t!r},f={f}", arm(f, t)) for t, f in grid])
     points = []
-    counters: dict[str, list[int]] = {}
-    counter = 0
-    for t_hold in cfg.schedule:
-        for f_init in (3, 4):
-            seq = chain(
-                build_protocol(
-                    f"prepare_f{f_init}",
-                    overlap_s=seqp["overlap_s"],
-                    delay_s=seqp["delay_s"],
-                ),
-                t_hold,
-                build_protocol("detect", gap_s=seqp["gap_s"], window_s=seqp["window_s"]),
-            )
-            total_counts = 0
-            total_atoms = 0
-            used = []
-            for _ in range(cfg.repetitions):
-                rng = run_stream(cfg.master_seed, counter)
-                used.append(counter)
-                counter += 1
-                rec = simulate_sequence(seq, cfg.atoms_per_run, bundle, rng)
-                burst_trace = next(tr for name, tr in rec.traces if name == "detect")
-                total_counts += int(burst_trace.counts.sum())
-                total_atoms += rec.survivors or 0
-            bg = burst.background_photons_per_window * cfg.repetitions
-            if total_atoms and burst.mean_photons_per_atom > 0:
-                p4_hat = (total_counts - bg) / (burst.mean_photons_per_atom * total_atoms)
-                p4_hat = min(max(p4_hat, 0.0), 1.0)
-            else:
-                p4_hat = 0.0
-            points.append(
-                {
-                    "t_s": t_hold,
-                    "f_initial": f_init,
-                    "p4": p4_hat,
-                    "n": total_atoms,
-                }
-            )
-            counters[f"t={t_hold!r},f={f_init}"] = used
+    bg = burst.background_photons_per_window * cfg.repetitions
+    for (t_hold, f_init), (total_counts, total_atoms) in zip(grid, sums):
+        if total_atoms and burst.mean_photons_per_atom > 0:
+            p4_hat = (total_counts - bg) / (burst.mean_photons_per_atom * total_atoms)
+            p4_hat = min(max(p4_hat, 0.0), 1.0)
+        else:
+            p4_hat = 0.0
+        points.append({"t_s": t_hold, "f_initial": f_init, "p4": p4_hat, "n": total_atoms})
     fits = {}
     arm3 = [(p["t_s"], p["p4"], p["n"]) for p in points if p["f_initial"] == 3 and p["n"] > 0]
     arm4 = [(p["t_s"], p["p4"], p["n"]) for p in points if p["f_initial"] == 4 and p["n"] > 0]
@@ -531,14 +523,7 @@ def _relaxation_experiment(cfg: ExperimentConfig) -> Dataset:
             pass
     if arm3 and arm4:
         fits["relaxation_joint"] = fit_relaxation_joint(arm3, arm4)
-    return Dataset(
-        kind=cfg.kind,
-        master_seed=cfg.master_seed,
-        config_echo=serialize_config(cfg),
-        points=points,
-        fits=fits,
-        run_counters=counters,
-    )
+    return _dataset(cfg, points, counters, fits)
 
 
 def _mot_monitor_experiment(cfg: ExperimentConfig) -> Dataset:
@@ -562,22 +547,13 @@ def _mot_monitor_experiment(cfg: ExperimentConfig) -> Dataset:
 
 def _detection_demo_experiment(cfg: ExperimentConfig) -> Dataset:
     bundle = cfg.physics_bundle()
-    seqp = cfg.sequence
-    t_hold = cfg.schedule[0]
     points = []
     traces = []
     counters: dict[str, list[int]] = {}
     for counter, f_init in enumerate((3, 4)):
-        seq = chain(
-            build_protocol(
-                f"prepare_f{f_init}", overlap_s=seqp["overlap_s"], delay_s=seqp["delay_s"]
-            ),
-            t_hold,
-            build_protocol("detect", gap_s=seqp["gap_s"], window_s=seqp["window_s"]),
-        )
-        rng = run_stream(cfg.master_seed, counter)
-        rec = simulate_sequence(seq, cfg.atoms_per_run, bundle, rng)
-        burst_trace = next(tr for name, tr in rec.traces if name == "detect")
+        plan = _prepare_detect_plan(cfg, f_init, cfg.schedule[0])
+        rec = run_plan(plan, cfg.atoms_per_run, bundle, run_stream(cfg.master_seed, counter))
+        burst_trace = _burst(rec)
         traces.append((f"detect_f{f_init}", burst_trace))
         points.append(
             {
@@ -588,23 +564,12 @@ def _detection_demo_experiment(cfg: ExperimentConfig) -> Dataset:
             }
         )
         counters[f"f={f_init}"] = [counter]
-    return Dataset(
-        kind=cfg.kind,
-        master_seed=cfg.master_seed,
-        config_echo=serialize_config(cfg),
-        points=points,
-        run_counters=counters,
-        traces=traces,
-    )
+    return _dataset(cfg, points, counters, traces=traces)
 
 
 def run_experiment(cfg: ExperimentConfig) -> Dataset:
-    if cfg.kind == "lifetime":
-        return _transfer_experiment(cfg, fit=True)
-    if cfg.kind == "magnetic_lifetime":
-        return _magnetic_experiment(cfg)
-    if cfg.kind == "transfer_efficiency":
-        return _transfer_experiment(cfg, fit=False)
+    if cfg.kind in ("lifetime", "magnetic_lifetime", "transfer_efficiency"):
+        return _survival_experiment(cfg)
     if cfg.kind == "relaxation":
         return _relaxation_experiment(cfg)
     if cfg.kind == "mot_monitor":

@@ -3,13 +3,13 @@
 A Sequence is a list of switching events applied on top of an initial
 channel state. The canonical protocols (transfer, recapture, hyperfine
 preparation, state-selective detection) are produced by build_protocol
-and can be composed with chain(); simulate_sequence interprets a valid
-timeline by dispatching each phase to the kinetics and signal modules.
+and can be composed with chain(); compile_sequence validates a timeline
+once and reduces it to a plan of phases, which run_plan executes by
+dispatching each phase to the kinetics and signal modules.
 """
 
 from __future__ import annotations
 
-import csv
 import enum
 import io
 from dataclasses import dataclass, field, replace
@@ -21,8 +21,9 @@ from .kinetics import (
     MotRates,
     dipole_survival,
     gillespie_mot,
-    hyperfine_telegraph,
+    hyperfine_endpoint,
     magnetic_trap_survival,
+    mot_endpoint,
 )
 from .signals import (
     BurstModel,
@@ -30,6 +31,7 @@ from .signals import (
     PhotonTrace,
     PiecewiseRate,
     mot_rate_profile,
+    read_csv_rows,
     synthesize_counts,
     synthesize_detection_burst,
 )
@@ -47,6 +49,10 @@ __all__ = [
     "build_protocol",
     "chain",
     "validate_sequence",
+    "Phase",
+    "SequencePlan",
+    "compile_sequence",
+    "run_plan",
     "simulate_sequence",
     "sequence_to_csv",
     "sequence_from_csv",
@@ -363,46 +369,93 @@ def _classify_interval(state: dict) -> str:
     return "gap"
 
 
-def simulate_sequence(
-    seq: Sequence, initial_n: int, physics: PhysicsBundle, rng: np.random.Generator
-) -> RunRecord:
-    """Execute a validated timeline against the stochastic physics models.
+_MOT_LIGHT = ("mot", "overlap")
+_AWAY_FROM_MOT = ("hold", "magnetic_hold", "detect", "gap")
 
-    MOT and overlap phases run the birth-death process and synthesize the
-    fluorescence trace; dipole holds apply exponential survival and the
-    hyperfine telegraph process; detection phases synthesize and classify
-    the fluorescence burst; a magnetic hold applies the 50% spin
-    projection plus the same exponential decay.
+
+@dataclass(frozen=True)
+class Phase:
+    """One constant-state interval of a compiled sequence.
+
+    category: 'mot', 'overlap', 'hold', 'magnetic_hold', 'detect' or 'gap'.
+    transfer: the last MOT laser went off with the dipole trap on as this
+        hold began; the loading efficiency applies here.
+    recapture: the MOT light returns to atoms held since a transfer.
+    prepared_state: '3', '4' or 'mixed' when the phase books the prepared
+        atom number (a transfer, or the first magnetic hold), else None.
+    tracks_f: the hyperfine state during this phase is read by a later
+        detect phase before MOT light or the magnetic trap scrambles it.
+    """
+
+    category: str
+    dt: float
+    transfer: bool = False
+    recapture: bool = False
+    prepared_state: str | None = None
+    tracks_f: bool = False
+
+
+@dataclass(frozen=True)
+class SequencePlan:
+    """A validated sequence and its phases, ready to run any number of times."""
+
+    sequence: Sequence
+    phases: tuple[Phase, ...]
+
+
+def _prepared_state(last_cooling_off, last_repumper_off) -> str:
+    # the laser switched off first decides the pumped state: repumper first
+    # leaves the atoms in F=3, cooling first leaves them in F=4
+    if last_repumper_off is not None and (
+        last_cooling_off is None or last_repumper_off < last_cooling_off
+    ):
+        return "3"
+    if last_cooling_off is not None and (
+        last_repumper_off is None or last_cooling_off < last_repumper_off
+    ):
+        return "4"
+    return "mixed"
+
+
+def compile_sequence(seq: Sequence) -> SequencePlan:
+    """Validate a timeline once and reduce it to its phases.
+
+    Raises ValueError for an invalid sequence. The transfer, recapture and
+    preparation bookings depend only on the timeline, so they are fixed
+    here. When the MOT light goes off and back on at the same instant with
+    the dipole trap on, a zero-length hold is inserted so the transfer and
+    the recapture are still booked.
     """
     violations = validate_sequence(seq)
     if violations:
         raise ValueError(
             "sequence is invalid: " + "; ".join(v.message for v in violations)
         )
-    if initial_n < 0:
-        raise ValueError("initial_n must be non-negative")
-
     times = sorted({0.0, seq.duration, *(ev.time for ev in seq.events)})
-    det = physics.detector
-    tau_dip = physics.dipole_lifetime
-    tau_mag = physics.magnetic_lifetime or tau_dip
-
-    n = int(initial_n)
-    f_states: np.ndarray | None = None  # per-atom hyperfine F, None while MOT-cooled
-    traces: list[tuple[str, PhotonTrace]] = []
-    prepared_n = None
-    prepared_state = None
-    survivors = None
-    recaptured_n = None
-    classification = None
-    last_cooling_off = None
-    last_repumper_off = None
-    prev_cat = None
-    held_since_transfer = False
-
+    phases: list[dict] = []
     state = dict(seq.initial_state)
     idx = 0
+    last_cooling_off = last_repumper_off = None
+    prev_cat = None
+    prepared = held = recaptured = False
+
+    def add(cat, dt):
+        nonlocal prev_cat, prepared, held, recaptured
+        ph = {"category": cat, "dt": dt}
+        if cat == "hold" and prev_cat in _MOT_LIGHT:
+            ph["transfer"] = True
+            ph["prepared_state"] = _prepared_state(last_cooling_off, last_repumper_off)
+            prepared = held = True
+        elif cat == "magnetic_hold" and not prepared:
+            ph["prepared_state"] = "mixed"
+            prepared = held = True
+        if cat in _MOT_LIGHT and prev_cat in _AWAY_FROM_MOT and held and not recaptured:
+            ph["recapture"] = recaptured = True
+        phases.append(ph)
+        prev_cat = cat
+
     for t0, t1 in zip(times[:-1], times[1:]):
+        dropped = False  # the MOT light went off at t0 with the dipole trap on
         while idx < len(seq.events) and seq.events[idx].time <= t0:
             ev = seq.events[idx]
             state[ev.channel] = ev.state
@@ -410,88 +463,131 @@ def simulate_sequence(
                 last_cooling_off = ev.time
             if ev.channel is Channel.REPUMPER and not ev.state:
                 last_repumper_off = ev.time
+            if prev_cat in _MOT_LIGHT and _classify_interval(state) == "hold":
+                dropped = True
             idx += 1
-        if t1 <= t0:
-            continue
         cat = _classify_interval(state)
-        dt = t1 - t0
+        if dropped and cat in _MOT_LIGHT:
+            add("hold", 0.0)
+        add(cat, t1 - t0)
 
-        if cat in ("hold", "gap", "detect") and prev_cat in ("overlap", "mot") and state[Channel.DIPOLE]:
-            # transfer moment: the last MOT laser just went off with the dipole trap on
-            prepared_n = n
-            if physics.loading_efficiency < 1.0:
-                n = int(rng.binomial(n, physics.loading_efficiency)) if n else 0
-            if last_repumper_off is not None and (
-                last_cooling_off is None or last_repumper_off < last_cooling_off
-            ):
-                prepared_state = "3"
-                f_states = np.full(n, 3)
-            elif last_cooling_off is not None and (
-                last_repumper_off is None or last_cooling_off < last_repumper_off
-            ):
-                prepared_state = "4"
-                f_states = np.full(n, 4)
-            else:
-                prepared_state = "mixed"
-                f_states = np.where(rng.random(n) < physics.mixed_state_p4, 4, 3)
-            held_since_transfer = True
+    # a detect phase reads the hyperfine state back to the last MOT or
+    # magnetic phase, which scramble it
+    live = False
+    for ph in reversed(phases):
+        if ph["category"] == "detect":
+            live = True
+        elif ph["category"] in ("mot", "overlap", "magnetic_hold"):
+            live = False
+        ph["tracks_f"] = live
+    return SequencePlan(seq, tuple(Phase(**ph) for ph in phases))
 
-        if cat in ("mot", "overlap"):
-            if prev_cat in ("hold", "magnetic_hold", "detect", "gap") and recaptured_n is None and held_since_transfer:
-                recaptured_n = n
-            traj = gillespie_mot(physics.mot_rates, n, dt, rng)
-            n = traj.final_value()
-            f_states = None  # the MOT light scrambles the hyperfine state
-            if dt >= det.bin_width:
+
+def run_plan(
+    plan: SequencePlan,
+    initial_n: int,
+    physics: PhysicsBundle,
+    rng: np.random.Generator,
+    traces: bool = False,
+) -> RunRecord:
+    """Execute a compiled sequence against the stochastic physics models.
+
+    MOT and overlap phases advance the birth-death process: from its exact
+    endpoint law (mot_endpoint) when there is no two-body loss and no trace
+    is made, otherwise along a gillespie_mot path. Dipole holds apply
+    exponential survival and, where a later detection reads it, the
+    hyperfine endpoint law. Detect phases synthesize and classify the
+    fluorescence burst, whose trace is always returned. A magnetic hold
+    applies the 50% spin projection plus the same exponential decay. With
+    traces=True the MOT fluorescence of phases of at least one detector bin
+    and the stray light of such holds are synthesized as well.
+    """
+    if initial_n < 0:
+        raise ValueError("initial_n must be non-negative")
+    det = physics.detector
+    mot = physics.mot_rates
+    mot_endpoint_exact = mot.two_body_pair_rate == 0.0
+    tau_dip = physics.dipole_lifetime
+    tau_mag = physics.magnetic_lifetime or tau_dip
+
+    n = int(initial_n)
+    n4: int | None = None  # atoms in F=4 while the hyperfine state is tracked
+    out: list[tuple[str, PhotonTrace]] = []
+    prepared_n = prepared_state = survivors = recaptured_n = classification = None
+
+    for ph in plan.phases:
+        cat, dt = ph.category, ph.dt
+        if ph.prepared_state is not None:
+            prepared_n, prepared_state = n, ph.prepared_state
+        if ph.transfer:
+            if physics.loading_efficiency < 1.0 and n:
+                n = int(rng.binomial(n, physics.loading_efficiency))
+            if ph.tracks_f:
+                if prepared_state == "mixed":
+                    n4 = int(rng.binomial(n, physics.mixed_state_p4)) if n else 0
+                else:
+                    n4 = n if prepared_state == "4" else 0
+        if ph.recapture:
+            recaptured_n = n
+
+        if cat in _MOT_LIGHT:
+            n4 = None  # the MOT light scrambles the hyperfine state
+            if traces and dt >= det.bin_width:
+                traj = gillespie_mot(mot, n, dt, rng)
+                n = traj.final_value()
                 windows = [(0.0, dt)] if cat == "overlap" else []
                 profile = mot_rate_profile(traj, det, overlap_windows=windows)
-                traces.append((cat, synthesize_counts(profile, 0.0, dt, det.bin_width, rng)))
+                out.append((cat, synthesize_counts(profile, 0.0, dt, det.bin_width, rng)))
+            elif mot_endpoint_exact:
+                n = mot_endpoint(mot, n, dt, rng)
+            else:
+                n = gillespie_mot(mot, n, dt, rng).final_value()
         elif cat == "hold":
-            kept = dipole_survival(n, tau_dip, dt, rng)
-            if f_states is not None and n:
-                keep_idx = rng.choice(n, size=kept, replace=False)
-                kept_states = f_states[np.sort(keep_idx)]
-                f_states = np.array(
-                    [
-                        hyperfine_telegraph(int(f), physics.hyperfine, dt, rng).final_value()
-                        for f in kept_states
-                    ],
-                    dtype=int,
-                )
-            n = kept
+            if ph.tracks_f and n4 is not None:
+                kept4 = dipole_survival(n4, tau_dip, dt, rng)
+                kept3 = dipole_survival(n - n4, tau_dip, dt, rng)
+                n4 = hyperfine_endpoint(kept4, kept3, physics.hyperfine, dt, rng)
+                n = kept4 + kept3
+            else:
+                n, n4 = dipole_survival(n, tau_dip, dt, rng), None
             survivors = n
-            if dt >= det.bin_width:
+            if traces and dt >= det.bin_width:
                 profile = PiecewiseRate.constant(det.stray_when_mot_off)
-                traces.append((cat, synthesize_counts(profile, 0.0, dt, det.bin_width, rng)))
+                out.append((cat, synthesize_counts(profile, 0.0, dt, det.bin_width, rng)))
         elif cat == "magnetic_hold":
-            if prepared_n is None:
-                prepared_n = n
-                prepared_state = "mixed"
-                held_since_transfer = True
             n = magnetic_trap_survival(n, tau_mag, dt, rng)
-            f_states = None
+            n4 = None
             survivors = n
         elif cat == "detect":
-            if f_states is None:
-                f_states = np.where(rng.random(n) < physics.mixed_state_p4, 4, 3)
-            n4 = int(np.sum(f_states == 4))
+            if n4 is None:
+                n4 = int(rng.binomial(n, physics.mixed_state_p4)) if n else 0
             burst = synthesize_detection_burst(n4, n - n4, physics.burst, rng, window=dt)
-            traces.append((cat, burst))
+            out.append((cat, burst))
             classification = classify_burst(int(burst.counts.sum()), n, physics.burst)
-            f_states = np.full(n, 3)  # detection light pumps the atoms dark
+            n4 = 0  # detection light pumps the atoms dark
         # 'gap': nothing happens on the Pockels-gap time scale
-        prev_cat = cat
 
     return RunRecord(
-        sequence=seq,
+        sequence=plan.sequence,
         prepared_n=prepared_n,
         prepared_state=prepared_state,
-        traces=traces,
+        traces=out,
         survivors=survivors,
         recaptured_n=recaptured_n,
         classification=classification,
         final_n=n,
     )
+
+
+def simulate_sequence(
+    seq: Sequence, initial_n: int, physics: PhysicsBundle, rng: np.random.Generator
+) -> RunRecord:
+    """Validate, compile and run one timeline, synthesizing every trace.
+
+    Equivalent to run_plan(compile_sequence(seq), initial_n, physics, rng,
+    traces=True); compile once and call run_plan to run a sequence many times.
+    """
+    return run_plan(compile_sequence(seq), initial_n, physics, rng, traces=True)
 
 
 def sequence_to_csv(seq: Sequence) -> str:
@@ -503,13 +599,7 @@ def sequence_to_csv(seq: Sequence) -> str:
 
 
 def sequence_from_csv(text_or_path, label: str = "", initial_state=None) -> Sequence:
-    if hasattr(text_or_path, "read"):
-        rows = list(csv.reader(text_or_path))
-    elif "\n" in str(text_or_path):
-        rows = list(csv.reader(io.StringIO(str(text_or_path))))
-    else:
-        with open(text_or_path, newline="") as fh:
-            rows = list(csv.reader(fh))
+    rows = read_csv_rows(text_or_path)
     if not rows or rows[0] != ["time_s", "channel", "state"]:
         raise ValueError("expected header 'time_s,channel,state'")
     events = []

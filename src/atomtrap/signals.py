@@ -79,6 +79,21 @@ class BurstModel:
             raise ValueError("time scales must be positive")
 
 
+# relative deviation of a bin spacing from the median that from_csv accepts;
+# far above the 9-significant-digit rounding of to_csv
+BIN_SPACING_TOLERANCE = 0.01
+
+
+def read_csv_rows(text_or_path) -> list[list[str]]:
+    """CSV rows of an open file, a text holding a newline, or a file path."""
+    if hasattr(text_or_path, "read"):
+        return list(csv.reader(text_or_path))
+    if "\n" in str(text_or_path):
+        return list(csv.reader(io.StringIO(str(text_or_path))))
+    with open(text_or_path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
 @dataclass
 class PhotonTrace:
     """Binned photon counts starting at t0 with fixed bin width."""
@@ -113,21 +128,29 @@ class PhotonTrace:
 
     @classmethod
     def from_csv(cls, text_or_path) -> "PhotonTrace":
-        if hasattr(text_or_path, "read"):
-            rows = list(csv.reader(text_or_path))
-        elif "\n" in str(text_or_path):
-            rows = list(csv.reader(io.StringIO(str(text_or_path))))
-        else:
-            with open(text_or_path, newline="") as fh:
-                rows = list(csv.reader(fh))
+        """Read a trace written by to_csv; the bin width is the bin spacing.
+
+        Raises ValueError for a trace of fewer than two bins (its width is
+        undefined) and for bin starts whose spacing is not uniform within
+        BIN_SPACING_TOLERANCE of the median spacing.
+        """
+        rows = read_csv_rows(text_or_path)
         if not rows or rows[0] != ["bin_start_s", "counts"]:
             raise ValueError("expected header 'bin_start_s,counts'")
         body = [r for r in rows[1:] if r]
         starts = np.array([float(r[0]) for r in body])
         counts = np.array([int(r[1]) for r in body])
-        if len(starts) == 0:
-            raise ValueError("trace has no bins")
-        width = float(np.median(np.diff(starts))) if len(starts) > 1 else 0.1
+        if len(starts) < 2:
+            raise ValueError(f"trace has {len(starts)} bin(s); the bin width needs at least two")
+        spacing = np.diff(starts)
+        width = float(np.median(spacing))
+        off = np.abs(spacing - width) > BIN_SPACING_TOLERANCE * width
+        if width <= 0 or off.any():
+            i = int(np.argmax(off)) if width > 0 else 0
+            raise ValueError(
+                f"bin starts are not uniformly spaced: bin {i + 1} starts "
+                f"{spacing[i]:.9g} s after bin {i}, median spacing {width:.9g} s"
+            )
         return cls(t0=float(starts[0]), bin_width=width, counts=counts)
 
 

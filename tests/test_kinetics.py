@@ -11,10 +11,13 @@ from atomtrap import (
     analytic_occupation,
     dipole_survival,
     gillespie_mot,
+    hyperfine_endpoint,
     hyperfine_telegraph,
     magnetic_trap_survival,
+    mot_endpoint,
     run_stream,
 )
+from two_sample import chi2_two_sample
 
 REF_HF = HyperfineRates(r_4to3=7 / 16 * 0.2639, r_3to4=9 / 16 * 0.2639)
 
@@ -244,3 +247,74 @@ class TestHyperfineRates:
     def test_zero_rates_equilibrium_undefined(self):
         with pytest.raises(ValueError):
             HyperfineRates(0.0, 0.0).p4_equilibrium
+
+
+# Endpoint laws against the paths they replace: two-sample chi-square tests,
+# rejected below this p-value.
+ENDPOINT_P_MIN = 1e-3
+ENDPOINT_SAMPLES = 4000
+# 5 ms at the dimensionless point of the default rates over 60 s
+# (gamma * t = 1.2, R / gamma = 5), so the short-time law is exercised too
+FAST_MOT = MotRates(loading_rate_r=1200.0, one_body_loss=240.0)
+
+
+class TestHyperfineEndpoint:
+    @pytest.mark.parametrize("f0", [3, 4])
+    @pytest.mark.parametrize("t", [0.1, 3.0, 12.0])
+    def test_matches_telegraph_final_value(self, f0, t):
+        path = [hyperfine_telegraph(f0, REF_HF, t, run_stream(40, i)).final_value()
+                for i in range(ENDPOINT_SAMPLES)]
+        n4, n3 = (1, 0) if f0 == 4 else (0, 1)
+        rng = run_stream(41, 0)
+        endpoint = [3 + hyperfine_endpoint(n4, n3, REF_HF, t, rng)
+                    for _ in range(ENDPOINT_SAMPLES)]
+        assert chi2_two_sample(path, endpoint) > ENDPOINT_P_MIN
+
+    def test_counts_are_sums_of_atoms(self):
+        rng = run_stream(42, 0)
+        draws = np.array([hyperfine_endpoint(3, 2, REF_HF, 2.0, rng) for _ in range(4000)])
+        assert draws.min() >= 0 and draws.max() <= 5
+        mean = 3 * analytic_occupation(4, REF_HF, 2.0) + 2 * analytic_occupation(3, REF_HF, 2.0)
+        assert draws.mean() == pytest.approx(mean, abs=4 * draws.std() / np.sqrt(len(draws)))
+
+    def test_zero_time_and_no_atoms_draw_nothing(self):
+        rng = run_stream(43, 0)
+        assert hyperfine_endpoint(2, 3, REF_HF, 0.0, rng) == 2
+        assert hyperfine_endpoint(0, 0, REF_HF, 5.0, rng) == 0
+        assert rng.random() == run_stream(43, 0).random()
+
+    def test_invalid(self):
+        with pytest.raises(ValueError):
+            hyperfine_endpoint(-1, 0, REF_HF, 1.0, run_stream(0, 0))
+        with pytest.raises(ValueError):
+            hyperfine_endpoint(1, 0, REF_HF, -1.0, run_stream(0, 0))
+
+
+class TestMotEndpoint:
+    @pytest.mark.parametrize("rates, n0, t", [
+        (FAST_MOT, 0, 5e-3),
+        (FAST_MOT, 4, 5e-3),
+        (MotRates(), 0, 60.0),
+        (MotRates(), 4, 60.0),
+        (MotRates(loading_rate_r=1000.0, one_body_loss=0.0), 4, 5e-3),
+    ])
+    def test_matches_gillespie_final_value(self, rates, n0, t):
+        path = [gillespie_mot(rates, n0, t, run_stream(44, i)).final_value()
+                for i in range(ENDPOINT_SAMPLES)]
+        rng = run_stream(45, 0)
+        endpoint = [mot_endpoint(rates, n0, t, rng) for _ in range(ENDPOINT_SAMPLES)]
+        assert chi2_two_sample(path, endpoint) > ENDPOINT_P_MIN
+
+    def test_gamma_zero_limit_keeps_every_atom(self):
+        rates = MotRates(loading_rate_r=0.0, one_body_loss=0.0)
+        assert mot_endpoint(rates, 4, 60.0, run_stream(46, 0)) == 4
+
+    def test_two_body_loss_rejected(self):
+        with pytest.raises(ValueError, match="two_body_pair_rate"):
+            mot_endpoint(MotRates(two_body_pair_rate=0.01), 2, 1.0, run_stream(0, 0))
+
+    def test_invalid(self):
+        with pytest.raises(ValueError):
+            mot_endpoint(MotRates(), -1, 1.0, run_stream(0, 0))
+        with pytest.raises(ValueError):
+            mot_endpoint(MotRates(), 1, -1.0, run_stream(0, 0))

@@ -109,6 +109,14 @@ class TestRunExperiment:
             assert 0 <= p["survived"] <= p["total"]
         assert 40 < ds.fits["survival"].parameters["tau"] < 65
 
+    def test_zero_hold_is_booked(self):
+        ds = run_experiment(small("lifetime", schedule_s="0, 1"))
+        zero = ds.points[0]
+        assert zero["t_hold_s"] == 0.0
+        assert zero["total"] > 0
+        # nothing decays in a zero-length hold
+        assert zero["survived"] == zero["total"]
+
     def test_magnetic_lifetime(self):
         ds = run_experiment(small("magnetic_lifetime", repetitions=50))
         fit = ds.fits["survival"]

@@ -8,19 +8,25 @@ from atomtrap import (
     MOT_OPERATION,
     Channel,
     DetectorModel,
+    MotRates,
     PhysicsBundle,
     Sequence,
     SequenceEvent,
     analytic_occupation,
     build_protocol,
     chain,
+    compile_sequence,
     detect_steps,
+    dipole_survival,
+    gillespie_mot,
+    run_plan,
     run_stream,
     sequence_from_csv,
     sequence_to_csv,
     simulate_sequence,
     validate_sequence,
 )
+from two_sample import chi2_two_sample
 
 
 class TestBuildProtocol:
@@ -290,3 +296,133 @@ class TestSimulateSequence:
             kept += rec.recaptured_n
             tot += rec.prepared_n
         assert kept / tot == pytest.approx(0.7, abs=0.03)
+
+
+class TestCompileSequence:
+    def test_transfer_hold_recapture_phases(self):
+        plan = compile_sequence(
+            chain(build_protocol("transfer"), 1.0, build_protocol("recapture")))
+        assert [(ph.category, ph.transfer, ph.recapture, ph.prepared_state)
+                for ph in plan.phases] == [
+            ("overlap", False, False, None),
+            ("hold", True, False, "mixed"),
+            ("overlap", False, True, None),
+        ]
+        assert [ph.dt for ph in plan.phases] == pytest.approx([5e-3, 1.0, 5e-3])
+        # no detection reads the hyperfine state
+        assert not any(ph.tracks_f for ph in plan.phases)
+
+    def test_detection_tracks_hyperfine_back_to_the_mot(self):
+        plan = compile_sequence(
+            chain(build_protocol("prepare_f4"), 1.0, build_protocol("detect")))
+        assert [(ph.category, ph.tracks_f) for ph in plan.phases] == [
+            ("overlap", False), ("overlap", False), ("hold", True),
+            ("gap", True), ("detect", True),
+        ]
+        assert plan.phases[2].prepared_state == "4"
+
+    def test_zero_length_hold_is_a_hold(self):
+        plan = compile_sequence(
+            chain(build_protocol("transfer"), 0.0, build_protocol("recapture")))
+        assert [(ph.category, ph.dt, ph.transfer, ph.recapture) for ph in plan.phases] == [
+            ("overlap", 5e-3, False, False),
+            ("hold", 0.0, True, False),
+            ("overlap", 5e-3, False, True),
+        ]
+
+    def test_zero_length_hold_books_transfer_and_recapture(self):
+        seq = chain(build_protocol("transfer"), 0.0, build_protocol("recapture"))
+        for i in range(50):
+            rec = simulate_sequence(seq, 3, PhysicsBundle(), run_stream(0, i))
+            assert rec.prepared_n is not None
+            assert rec.recaptured_n == rec.prepared_n
+
+    def test_invalid_sequence_rejected(self):
+        seq = chain(build_protocol("transfer"), 0.5,
+                    build_protocol("detect", gap_s=10e-6))
+        with pytest.raises(ValueError, match="sequence is invalid"):
+            compile_sequence(seq)
+
+    def test_plan_is_immutable(self):
+        plan = compile_sequence(build_protocol("transfer"))
+        with pytest.raises(AttributeError):
+            plan.phases = ()
+        with pytest.raises(AttributeError):
+            plan.phases[0].dt = 1.0
+
+    def test_magnetic_hold_books_preparation(self):
+        seq = Sequence(
+            [SequenceEvent(0.0, Channel.B_FIELD, True),
+             SequenceEvent(0.0, Channel.COOLING, False),
+             SequenceEvent(0.0, Channel.REPUMPER, False),
+             SequenceEvent(2.0, Channel.COOLING, True),
+             SequenceEvent(2.0, Channel.REPUMPER, True),
+             SequenceEvent(2.0, Channel.B_FIELD, False)],
+            duration=2.1,
+        )
+        plan = compile_sequence(seq)
+        assert [(ph.category, ph.prepared_state, ph.recapture) for ph in plan.phases] == [
+            ("magnetic_hold", "mixed", False), ("mot", None, True)]
+
+
+class TestRunPlan:
+    def test_traces_are_opt_in(self):
+        bundle = PhysicsBundle()
+        seq = chain(build_protocol("mot_monitor", duration_s=1.0),
+                    build_protocol("prepare_f4"), 0.5, build_protocol("detect"))
+        plan = compile_sequence(seq)
+        lean = run_plan(plan, 2, bundle, run_stream(30, 0))
+        assert [name for name, _ in lean.traces] == ["detect"]
+        full = run_plan(plan, 2, bundle, run_stream(30, 0), traces=True)
+        assert [name for name, _ in full.traces] == ["mot", "hold", "detect"]
+
+    def test_simulate_sequence_is_compile_and_run_with_traces(self):
+        bundle = PhysicsBundle()
+        seq = chain(build_protocol("mot_monitor", duration_s=1.0),
+                    build_protocol("transfer"), 2.0, build_protocol("recapture"))
+        a = simulate_sequence(seq, 2, bundle, run_stream(31, 3))
+        b = run_plan(compile_sequence(seq), 2, bundle, run_stream(31, 3), traces=True)
+        assert (a.prepared_n, a.recaptured_n, a.final_n) == (b.prepared_n, b.recaptured_n, b.final_n)
+        assert [n for n, _ in a.traces] == [n for n, _ in b.traces] == ["mot", "hold"]
+        for (_, ta), (_, tb) in zip(a.traces, b.traces):
+            assert np.array_equal(ta.counts, tb.counts)
+
+    def test_two_body_loss_runs_the_path(self):
+        bundle = PhysicsBundle(mot_rates=MotRates(loading_rate_r=50.0, one_body_loss=1.0,
+                                                  two_body_pair_rate=100.0))
+        plan = compile_sequence(
+            chain(build_protocol("transfer"), 0.1, build_protocol("recapture")))
+        rec = run_plan(plan, 3, bundle, run_stream(32, 0))
+        assert 0 <= rec.recaptured_n <= rec.prepared_n
+
+    def test_negative_atoms_rejected(self):
+        plan = compile_sequence(build_protocol("transfer"))
+        with pytest.raises(ValueError):
+            run_plan(plan, -1, PhysicsBundle(), run_stream(0, 0))
+
+
+def _old_transfer_hold_recapture(n0, physics, t_hold, overlap, rng):
+    """Reference: the transfer -> hold -> recapture counts driven by the public
+    path simulators, as the interpreter computed them before endpoint laws."""
+    n = gillespie_mot(physics.mot_rates, n0, overlap, rng).final_value()
+    prepared = n
+    if physics.loading_efficiency < 1.0 and n:
+        n = int(rng.binomial(n, physics.loading_efficiency))
+    recaptured = dipole_survival(n, physics.dipole_lifetime, t_hold, rng)
+    return prepared, recaptured
+
+
+def test_transfer_recapture_distribution_matches_path_reference():
+    # fast MOT rates make the 5 ms overlap change the atom number
+    physics = PhysicsBundle(mot_rates=MotRates(loading_rate_r=200.0, one_body_loss=40.0),
+                            loading_efficiency=0.7, dipole_lifetime=2.0)
+    plan = compile_sequence(
+        chain(build_protocol("transfer"), 1.0, build_protocol("recapture")))
+    runs = 4000
+    new = []
+    for i in range(runs):
+        rec = run_plan(plan, 3, physics, run_stream(33, i))
+        new.append((rec.prepared_n, rec.recaptured_n))
+    old = [_old_transfer_hold_recapture(3, physics, 1.0, 5e-3, run_stream(34, i))
+           for i in range(runs)]
+    assert chi2_two_sample(new, old) > 1e-3

@@ -205,6 +205,28 @@ class TestPhotonTraceCsv:
         with pytest.raises(ValueError):
             PhotonTrace.from_csv("time,counts\n0,1\n")
 
+    def test_one_bin_rejected(self):
+        with pytest.raises(ValueError, match="at least two"):
+            PhotonTrace.from_csv("bin_start_s,counts\n0,1\n")
+
+    def test_non_uniform_spacing_rejected(self):
+        with pytest.raises(ValueError, match="not uniformly spaced: bin 2"):
+            PhotonTrace.from_csv("bin_start_s,counts\n0,1\n0.1,2\n0.25,3\n0.35,1\n")
+        with pytest.raises(ValueError, match="not uniformly spaced"):
+            PhotonTrace.from_csv("bin_start_s,counts\n0.2,1\n0.1,2\n0,3\n")
+        # 1.2 % off the median is rejected, 0.8 % is accepted
+        with pytest.raises(ValueError):
+            PhotonTrace.from_csv("bin_start_s,counts\n0,1\n0.1,2\n0.2,3\n0.3012,1\n")
+        back = PhotonTrace.from_csv("bin_start_s,counts\n0,1\n0.1,2\n0.2,3\n0.3008,1\n")
+        assert back.bin_width == pytest.approx(0.1)
+
+    def test_long_trace_round_trip(self):
+        # 36 000 bins of 0.1 s: the 9-digit starts stay far inside the tolerance
+        tr = PhotonTrace(t0=0.0, bin_width=0.1, counts=np.arange(36000) % 7)
+        back = PhotonTrace.from_csv(tr.to_csv())
+        assert back.bin_width == pytest.approx(0.1, rel=1e-9)
+        assert np.array_equal(back.counts, tr.counts)
+
     def test_file_round_trip(self, tmp_path):
         tr = PhotonTrace(t0=0.0, bin_width=0.2, counts=[4, 2])
         path = tmp_path / "trace.csv"

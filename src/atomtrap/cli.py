@@ -8,7 +8,6 @@ non-converging fits, sequence violations).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
@@ -23,7 +22,7 @@ from .analysis import (
 )
 from .runner import ConfigError, export_dataset, load_config, run_experiment
 from .sequence import DIPOLE_HOLD, MOT_OPERATION, sequence_from_csv, validate_sequence
-from .signals import BurstModel, DetectorModel, PhotonTrace
+from .signals import BurstModel, DetectorModel, PhotonTrace, read_csv_rows
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -97,11 +96,18 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 
 def _read_fit_csv(path: str, header: list[str]):
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = read_csv_rows(path)
     if not rows or rows[0] != header:
         raise ValueError(f"{path}: expected header '{','.join(header)}'")
-    return [tuple(float(x) for x in row) for row in rows[1:] if row]
+    points = []
+    for line, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ValueError(
+                f"{path}: row {line} has {len(row)} fields, expected {len(header)}")
+        points.append(tuple(float(x) for x in row))
+    return points
 
 
 def _cmd_simulate(args) -> int:

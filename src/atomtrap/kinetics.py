@@ -77,7 +77,6 @@ class StateTrajectory:
     times: np.ndarray  # strictly increasing, times[0] == 0
     values: np.ndarray  # integers >= 0
     t_end: float
-    seed: object = None  # provenance record, not interpreted
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)

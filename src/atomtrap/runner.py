@@ -185,6 +185,10 @@ _KIND_DEFAULTS = {
     "mot_monitor": ([60.0], 1, 0),
 }
 
+# kinds that run once (per prepared state) at one time: repetitions and
+# further schedule entries would be ignored, so they are rejected
+_SINGLE_RUN_KINDS = ("mot_monitor", "detection_demo")
+
 
 @dataclass
 class ExperimentConfig:
@@ -326,6 +330,11 @@ def parse_config(text: str) -> ExperimentConfig:
     repetitions = exp["repetitions"] if exp["repetitions"] is not None else reps_default
     if repetitions < 1:
         raise ConfigError("experiment.repetitions must be >= 1")
+    if kind in _SINGLE_RUN_KINDS and repetitions != 1:
+        raise ConfigError(f"experiment.repetitions must be 1 for {kind}, got {repetitions}")
+    if kind in _SINGLE_RUN_KINDS and len(schedule) != 1:
+        raise ConfigError(
+            f"experiment.schedule_s must hold one time for {kind}, got {len(schedule)}")
     atoms_per_run = exp["atoms_per_run"] if exp["atoms_per_run"] is not None else atoms_default
     if atoms_per_run < 0:
         raise ConfigError("experiment.atoms_per_run must be >= 0")
@@ -535,14 +544,7 @@ def _mot_monitor_experiment(cfg: ExperimentConfig) -> Dataset:
     points = [
         {"time_s": float(t), "n_atoms": int(v)} for t, v in zip(traj.times, traj.values)
     ]
-    return Dataset(
-        kind=cfg.kind,
-        master_seed=cfg.master_seed,
-        config_echo=serialize_config(cfg),
-        points=points,
-        run_counters={"runs": [0]},
-        traces=[("mot_monitor", trace)],
-    )
+    return _dataset(cfg, points, {"runs": [0]}, traces=[("mot_monitor", trace)])
 
 
 def _detection_demo_experiment(cfg: ExperimentConfig) -> Dataset:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import io
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -110,20 +111,6 @@ class Sequence:
             self.duration = last
         if self.duration < last:
             raise ValueError("duration precedes the last event")
-
-    def state_at(self, t: float) -> dict:
-        state = dict(self.initial_state)
-        for ev in self.events:
-            if ev.time > t:
-                break
-            state[ev.channel] = ev.state
-        return state
-
-    def final_state(self) -> dict:
-        state = dict(self.initial_state)
-        for ev in self.events:
-            state[ev.channel] = ev.state
-        return state
 
 
 @dataclass(frozen=True)
@@ -227,18 +214,11 @@ def chain(*parts) -> Sequence:
                     duration=offset, initial_state=initial)
 
 
-_ANY_LIGHT_OR_FIELD = (
-    Channel.COOLING,
-    Channel.REPUMPER,
-    Channel.DIPOLE,
-    Channel.DETECTION,
-    Channel.B_FIELD,
-)
-
 POCKELS_GAP_S = 50e-6
+HOLD_GRACE_S = 200e-6  # longest tolerated interval with no light and no field
 
 
-def validate_sequence(seq: Sequence, hold_grace_s: float = 200e-6) -> list[Violation]:
+def validate_sequence(seq: Sequence) -> list[Violation]:
     """Check a timeline against the hold/detection ordering constraints.
 
     Returns machine-readable violations (empty list = valid): (a) atoms
@@ -247,75 +227,7 @@ def validate_sequence(seq: Sequence, hold_grace_s: float = 200e-6) -> list[Viola
     after the dipole laser switched off, (d) per-channel on/off
     alternation breaks.
     """
-    violations: list[Violation] = []
-    state = dict(seq.initial_state)
-    last_dipole_off: float | None = None
-
-    for ev in seq.events:
-        if state[ev.channel] == ev.state:
-            violations.append(
-                Violation(
-                    "alternation",
-                    ev.time,
-                    f"{ev.channel.value} switched {'on' if ev.state else 'off'} twice in a row",
-                )
-            )
-        state[ev.channel] = ev.state
-        if ev.channel is Channel.DIPOLE and not ev.state:
-            last_dipole_off = ev.time
-        if ev.channel is Channel.DETECTION and ev.state:
-            if state[Channel.DIPOLE]:
-                violations.append(
-                    Violation(
-                        "detection_overlap",
-                        ev.time,
-                        "detection light turned on while the dipole trap is on",
-                    )
-                )
-            elif last_dipole_off is not None and ev.time - last_dipole_off < POCKELS_GAP_S - 1e-12:
-                violations.append(
-                    Violation(
-                        "pockels_gap",
-                        ev.time,
-                        f"detection starts {(ev.time - last_dipole_off) * 1e6:.1f} us after the "
-                        f"dipole trap switched off (need >= {POCKELS_GAP_S * 1e6:.0f} us)",
-                    )
-                )
-
-    # uncovered intervals: no light and no magnetic field confining the atoms
-    times = sorted({0.0, seq.duration, *(ev.time for ev in seq.events)})
-    state = dict(seq.initial_state)
-    idx = 0
-    uncovered_start: float | None = None
-    for t0, t1 in zip(times[:-1], times[1:]):
-        while idx < len(seq.events) and seq.events[idx].time <= t0:
-            state[seq.events[idx].channel] = seq.events[idx].state
-            idx += 1
-        covered = any(state[ch] for ch in _ANY_LIGHT_OR_FIELD)
-        if not covered and uncovered_start is None:
-            uncovered_start = t0
-        if covered and uncovered_start is not None:
-            if t0 - uncovered_start > hold_grace_s:
-                violations.append(
-                    Violation(
-                        "uncovered",
-                        uncovered_start,
-                        f"atoms unconfined for {(t0 - uncovered_start) * 1e3:.3f} ms "
-                        f"from t={uncovered_start:.6f} s",
-                    )
-                )
-            uncovered_start = None
-    if uncovered_start is not None and seq.duration - uncovered_start > hold_grace_s:
-        violations.append(
-            Violation(
-                "uncovered",
-                uncovered_start,
-                f"atoms unconfined for {(seq.duration - uncovered_start) * 1e3:.3f} ms "
-                f"at the end of the sequence",
-            )
-        )
-    violations.sort(key=lambda v: v.time)
-    return violations
+    return _walk(seq)[0]
 
 
 @dataclass
@@ -351,7 +263,6 @@ class RunRecord:
     recaptured_n: int | None
     classification: BurstClassification | None
     final_n: int
-    seed: object = None
 
 
 def _classify_interval(state: dict) -> str:
@@ -403,70 +314,90 @@ class SequencePlan:
     phases: tuple[Phase, ...]
 
 
-def _prepared_state(last_cooling_off, last_repumper_off) -> str:
+def _prepared_state(last_off: dict) -> str:
     # the laser switched off first decides the pumped state: repumper first
     # leaves the atoms in F=3, cooling first leaves them in F=4
-    if last_repumper_off is not None and (
-        last_cooling_off is None or last_repumper_off < last_cooling_off
-    ):
+    cooling = last_off.get(Channel.COOLING, math.inf)
+    repumper = last_off.get(Channel.REPUMPER, math.inf)
+    if repumper < cooling:
         return "3"
-    if last_cooling_off is not None and (
-        last_repumper_off is None or last_cooling_off < last_repumper_off
-    ):
+    if cooling < repumper:
         return "4"
     return "mixed"
 
 
-def compile_sequence(seq: Sequence) -> SequencePlan:
-    """Validate a timeline once and reduce it to its phases.
+def _walk(seq: Sequence) -> tuple[list[Violation], tuple[Phase, ...]]:
+    """Apply the events in time order once; return (violations, phases).
 
-    Raises ValueError for an invalid sequence. The transfer, recapture and
-    preparation bookings depend only on the timeline, so they are fixed
-    here. When the MOT light goes off and back on at the same instant with
-    the dipole trap on, a zero-length hold is inserted so the transfer and
-    the recapture are still booked.
+    Each event is checked against the state it changes; each interval
+    between distinct event times, taken after all events at its start,
+    becomes a phase and is checked for coverage. Events at seq.duration are
+    checked but open no interval. The phases mean something only when there
+    are no violations.
     """
-    violations = validate_sequence(seq)
-    if violations:
-        raise ValueError(
-            "sequence is invalid: " + "; ".join(v.message for v in violations)
-        )
-    times = sorted({0.0, seq.duration, *(ev.time for ev in seq.events)})
+    violations: list[Violation] = []
     phases: list[dict] = []
     state = dict(seq.initial_state)
+    last_off: dict[Channel, float] = {}  # when each channel last switched off
     idx = 0
-    last_cooling_off = last_repumper_off = None
+    gap_start: float | None = None  # start of the current unconfined stretch
     prev_cat = None
-    prepared = held = recaptured = False
+    prepared = recaptured = False
 
     def add(cat, dt):
-        nonlocal prev_cat, prepared, held, recaptured
+        nonlocal prev_cat, prepared, recaptured
         ph = {"category": cat, "dt": dt}
         if cat == "hold" and prev_cat in _MOT_LIGHT:
             ph["transfer"] = True
-            ph["prepared_state"] = _prepared_state(last_cooling_off, last_repumper_off)
-            prepared = held = True
+            ph["prepared_state"] = _prepared_state(last_off)
+            prepared = True
         elif cat == "magnetic_hold" and not prepared:
             ph["prepared_state"] = "mixed"
-            prepared = held = True
-        if cat in _MOT_LIGHT and prev_cat in _AWAY_FROM_MOT and held and not recaptured:
+            prepared = True
+        if cat in _MOT_LIGHT and prev_cat in _AWAY_FROM_MOT and prepared and not recaptured:
             ph["recapture"] = recaptured = True
         phases.append(ph)
         prev_cat = cat
 
-    for t0, t1 in zip(times[:-1], times[1:]):
+    times = sorted({0.0, seq.duration, *(ev.time for ev in seq.events)})
+    for t0, t1 in zip(times, times[1:] + [None]):
         dropped = False  # the MOT light went off at t0 with the dipole trap on
         while idx < len(seq.events) and seq.events[idx].time <= t0:
             ev = seq.events[idx]
+            idx += 1
+            if state[ev.channel] == ev.state:
+                violations.append(Violation(
+                    "alternation", ev.time,
+                    f"{ev.channel.value} switched {'on' if ev.state else 'off'} twice in a row"))
             state[ev.channel] = ev.state
-            if ev.channel is Channel.COOLING and not ev.state:
-                last_cooling_off = ev.time
-            if ev.channel is Channel.REPUMPER and not ev.state:
-                last_repumper_off = ev.time
+            if not ev.state:
+                last_off[ev.channel] = ev.time
+            if ev.channel is Channel.DETECTION and ev.state:
+                dipole_off = last_off.get(Channel.DIPOLE)
+                if state[Channel.DIPOLE]:
+                    violations.append(Violation(
+                        "detection_overlap", ev.time,
+                        "detection light turned on while the dipole trap is on"))
+                elif dipole_off is not None and ev.time - dipole_off < POCKELS_GAP_S - 1e-12:
+                    violations.append(Violation(
+                        "pockels_gap", ev.time,
+                        f"detection starts {(ev.time - dipole_off) * 1e6:.1f} us after the "
+                        f"dipole trap switched off (need >= {POCKELS_GAP_S * 1e6:.0f} us)"))
             if prev_cat in _MOT_LIGHT and _classify_interval(state) == "hold":
                 dropped = True
-            idx += 1
-        cat = _classify_interval(state)
+        # the last time is seq.duration, where an unconfined stretch ends too
+        cat = None if t1 is None else _classify_interval(state)
+        if gap_start is not None and cat != "gap":
+            if t0 - gap_start > HOLD_GRACE_S:
+                where = "at the end of the sequence" if t1 is None else f"from t={gap_start:.6f} s"
+                violations.append(Violation(
+                    "uncovered", gap_start,
+                    f"atoms unconfined for {(t0 - gap_start) * 1e3:.3f} ms {where}"))
+            gap_start = None
+        if t1 is None:
+            break
+        if cat == "gap" and gap_start is None:
+            gap_start = t0
         if dropped and cat in _MOT_LIGHT:
             add("hold", 0.0)
         add(cat, t1 - t0)
@@ -480,7 +411,25 @@ def compile_sequence(seq: Sequence) -> SequencePlan:
         elif ph["category"] in ("mot", "overlap", "magnetic_hold"):
             live = False
         ph["tracks_f"] = live
-    return SequencePlan(seq, tuple(Phase(**ph) for ph in phases))
+    violations.sort(key=lambda v: v.time)  # stable: event checks first at a tie
+    return violations, tuple(Phase(**ph) for ph in phases)
+
+
+def compile_sequence(seq: Sequence) -> SequencePlan:
+    """Validate a timeline once and reduce it to its phases.
+
+    Raises ValueError for an invalid sequence. The transfer, recapture and
+    preparation bookings depend only on the timeline, so they are fixed
+    here. When the MOT light goes off and back on at the same instant with
+    the dipole trap on, a zero-length hold is inserted so the transfer and
+    the recapture are still booked.
+    """
+    violations, phases = _walk(seq)
+    if violations:
+        raise ValueError(
+            "sequence is invalid: " + "; ".join(v.message for v in violations)
+        )
+    return SequencePlan(seq, phases)
 
 
 def run_plan(

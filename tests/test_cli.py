@@ -155,6 +155,13 @@ class TestFit:
         tau_hat = rec["values"][rec["parameter_names"].index("tau")]
         assert tau_hat == pytest.approx(tau, rel=0.01)
 
+    def test_short_row_is_data_error_naming_the_row(self, tmp_path, capsys):
+        path = tmp_path / "short.csv"
+        path.write_text("t_s,survived,total\n1,100,100\n10,90\n")
+        code, _, err = run_cli(capsys, "fit", str(path), "--model", "survival")
+        assert code == 2
+        assert f"{path}: row 3 has 2 fields, expected 3" in err
+
     def test_degenerate_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "deg.csv"
         path.write_text("t_s,survived,total\n1,100,100\n10,100,100\n")

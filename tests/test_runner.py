@@ -3,8 +3,11 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atomtrap import (
+    EXPERIMENT_KINDS,
     ConfigError,
     export_dataset,
     load_config,
@@ -72,6 +75,47 @@ class TestConfig:
         cfg = parse_config(MINIMAL + "master_seed = 9\n[mot]\nradius_m = 12e-6\n")
         again = parse_config(serialize_config(cfg))
         assert again == cfg
+
+    @given(data=st.data(), kind=st.sampled_from(EXPERIMENT_KINDS))
+    @settings(max_examples=40, deadline=None)
+    def test_serialize_round_trip_property(self, data, kind):
+        single = kind in ("mot_monitor", "detection_demo")
+        times = st.floats(0.0, 1e4)
+        schedule = data.draw(st.lists(times, min_size=1, max_size=1 if single else 8))
+        lines = [
+            "[experiment]", f"kind = {kind}",
+            f"master_seed = {data.draw(st.integers(0, 2**64 - 1))}",
+            f"repetitions = {1 if single else data.draw(st.integers(1, 10**5))}",
+            f"atoms_per_run = {data.draw(st.integers(0, 50))}",
+            f"schedule_s = {', '.join(repr(t) for t in schedule)}",
+            f"loading_mode = {data.draw(st.sampled_from(['perfect', 'geometric']))}",
+            "[trap]",
+            f"power_w = {data.draw(st.floats(1e-3, 100.0))!r}",
+            f"intensity_averaging_factor = {data.draw(st.floats(1e-3, 1.0))!r}",
+            "[mot]",
+            f"loading_rate_per_s = {data.draw(st.floats(0.0, 1e3))!r}",
+            f"two_body_multiplicity = {data.draw(st.sampled_from([1, 2]))}",
+            "[detector]",
+            f"overlap_suppression = {data.draw(st.floats(0.0, 1.0))!r}",
+            "[sequence]",
+            f"gap_s = {data.draw(st.floats(1e-7, 1e-3))!r}",
+        ]
+        cfg = parse_config("\n".join(lines) + "\n")
+        assert cfg.schedule == schedule
+        assert parse_config(serialize_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("kind", ["mot_monitor", "detection_demo"])
+    def test_single_run_kind_rejects_repetitions(self, kind):
+        with pytest.raises(ConfigError, match=f"repetitions must be 1 for {kind}"):
+            parse_config(f"[experiment]\nkind = {kind}\nrepetitions = 3\n")
+
+    @pytest.mark.parametrize("kind", ["mot_monitor", "detection_demo"])
+    def test_single_run_kind_rejects_schedule(self, kind):
+        with pytest.raises(ConfigError, match=f"schedule_s must hold one time for {kind}"):
+            parse_config(f"[experiment]\nkind = {kind}\nschedule_s = 0.1, 0.2\n")
+        # one entry, or one repetition spelled out, is fine
+        cfg = parse_config(f"[experiment]\nkind = {kind}\nschedule_s = 3600\nrepetitions = 1\n")
+        assert (cfg.schedule, cfg.repetitions) == ([3600.0], 1)
 
     def test_echo_contains_all_defaults(self):
         echo = serialize_config(parse_config(MINIMAL))

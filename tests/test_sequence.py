@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +29,7 @@ from atomtrap import (
     simulate_sequence,
     validate_sequence,
 )
+from atomtrap.sequence import HOLD_GRACE_S
 from two_sample import chi2_two_sample
 
 
@@ -133,6 +137,13 @@ class TestValidateSequence:
         violations = validate_sequence(seq)
         assert any(v.code == "uncovered" and v.time == 0.0 for v in violations)
 
+    def test_hold_grace_boundary(self):
+        dark = {ch: False for ch in Channel}
+        for t_on, codes in ((HOLD_GRACE_S, []), (HOLD_GRACE_S * 1.001, ["uncovered"])):
+            seq = Sequence([SequenceEvent(t_on, Channel.DIPOLE, True)],
+                           duration=1.0, initial_state=dark)
+            assert [v.code for v in validate_sequence(seq)] == codes
+
     def test_detection_overlap(self):
         seq = Sequence(
             [SequenceEvent(1e-3, Channel.DETECTION, True)],
@@ -167,6 +178,16 @@ class TestCsvRoundTrip:
     def test_bad_state_word(self):
         with pytest.raises(ValueError):
             sequence_from_csv("time_s,channel,state\n0.0,COOLING,maybe\n")
+
+    @given(events=st.lists(st.tuples(st.floats(0.0, 1e4), st.sampled_from(list(Channel)),
+                                     st.booleans()), max_size=20),
+           initial=st.sampled_from([MOT_OPERATION, DIPOLE_HOLD]))
+    @settings(max_examples=50, deadline=None)
+    def test_round_trip_property(self, events, initial):
+        seq = Sequence([SequenceEvent(*ev) for ev in events], initial_state=dict(initial))
+        back = sequence_from_csv(sequence_to_csv(seq), initial_state=initial)
+        assert back.events == seq.events
+        assert back.initial_state == seq.initial_state
 
     def test_file_round_trip(self, tmp_path):
         seq = build_protocol("detect")
@@ -426,3 +447,72 @@ def test_transfer_recapture_distribution_matches_path_reference():
     old = [_old_transfer_hold_recapture(3, physics, 1.0, 5e-3, run_stream(34, i))
            for i in range(runs)]
     assert chi2_two_sample(new, old) > 1e-3
+
+
+# Random timelines: canonical protocols chained with delays around the
+# 200 us hold grace and the 50 us Pockels gap, plus stray toggles at times
+# that coincide with existing events. `pick` chooses one of its options, so
+# the same generator drives the seeded golden corpus and Hypothesis.
+_KINDS = ("transfer", "recapture", "prepare_f3", "prepare_f4", "detect", "mot_monitor")
+_DELAYS = (None, 0.0, 100e-6, 200e-6, 250e-6, 300e-6, 0.5, 2.0)
+_GAPS = (10e-6, 49.99e-6, 50e-6, 80e-6)
+
+
+def _timeline(pick) -> Sequence:
+    parts = []
+    for _ in range(pick(range(1, 5))):
+        kind = pick(_KINDS)
+        if kind == "detect":
+            parts.append(build_protocol(kind, gap_s=pick(_GAPS)))
+        elif kind == "mot_monitor":
+            parts.append(build_protocol(kind, duration_s=pick((1e-3, 0.5))))
+        else:
+            parts.append(build_protocol(kind))
+        delay = pick(_DELAYS)
+        if delay is not None:
+            parts.append(delay)
+    seq = chain(*parts)
+    initial = dict(seq.initial_state)
+    if pick((False, False, False, True)):
+        initial[pick(tuple(Channel))] = pick((False, True))
+    times = sorted({0.0, seq.duration, *(ev.time for ev in seq.events)})
+    toggles = [SequenceEvent(pick(times), pick(tuple(Channel)), pick((False, True)))
+               for _ in range(pick((0, 0, 1, 2)))]
+    return Sequence(seq.events + toggles, label=seq.label, parameters=seq.parameters,
+                    duration=seq.duration, initial_state=initial)
+
+
+def _outcome(seq: Sequence) -> str:
+    try:
+        plan = repr(compile_sequence(seq))
+    except ValueError as exc:
+        plan = repr(exc)
+    return repr(validate_sequence(seq)) + "\n" + plan + "\n"
+
+
+def test_timeline_corpus_golden():
+    # every violation (code, time, message, order) and every phase of a
+    # seeded corpus of valid and invalid timelines, as one digest
+    rng = random.Random(20261018)
+    digest = hashlib.sha256()
+    valid = 0
+    for _ in range(2400):
+        seq = _timeline(rng.choice)
+        valid += not validate_sequence(seq)
+        digest.update(_outcome(seq).encode())
+    assert valid == 529
+    assert digest.hexdigest() == (
+        "435866512bc589fcc77dab1505b51dd729068abe560169af1f71e80d8a20a15f")
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_compile_raises_iff_invalid_and_phases_cover_the_duration(data):
+    seq = _timeline(lambda options: data.draw(st.sampled_from(options)))
+    violations = validate_sequence(seq)
+    if violations:
+        with pytest.raises(ValueError, match="sequence is invalid"):
+            compile_sequence(seq)
+    else:
+        plan = compile_sequence(seq)
+        assert sum(ph.dt for ph in plan.phases) == pytest.approx(seq.duration, abs=1e-9)

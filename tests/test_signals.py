@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atomtrap import (
     BurstModel,
@@ -226,6 +228,18 @@ class TestPhotonTraceCsv:
         back = PhotonTrace.from_csv(tr.to_csv())
         assert back.bin_width == pytest.approx(0.1, rel=1e-9)
         assert np.array_equal(back.counts, tr.counts)
+
+    @given(width=st.floats(1e-6, 10.0), start_bins=st.integers(0, 1000),
+           counts=st.lists(st.integers(0, 10**6), min_size=2, max_size=50))
+    @settings(max_examples=50, deadline=None)
+    def test_round_trip_property(self, width, start_bins, counts):
+        # a start up to 1000 bins in keeps the 9-digit bin starts well
+        # inside the spacing tolerance
+        tr = PhotonTrace(t0=start_bins * width, bin_width=width, counts=counts)
+        back = PhotonTrace.from_csv(tr.to_csv())
+        assert np.array_equal(back.counts, tr.counts)
+        assert back.t0 == pytest.approx(tr.t0, rel=1e-8)
+        assert back.bin_width == pytest.approx(width, rel=1e-5)
 
     def test_file_round_trip(self, tmp_path):
         tr = PhotonTrace(t0=0.0, bin_width=0.2, counts=[4, 2])

@@ -22,7 +22,7 @@ from .analysis import (
 )
 from .runner import ConfigError, export_dataset, load_config, run_experiment
 from .sequence import DIPOLE_HOLD, MOT_OPERATION, sequence_from_csv, validate_sequence
-from .signals import BurstModel, DetectorModel, PhotonTrace, read_csv_rows
+from .signals import BurstModel, DetectorModel, PhotonTrace, read_csv_table
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -39,17 +39,15 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="atomtrap", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the master seed")
-        p.add_argument("--out", default=None,
-                       help="output directory (simulate) or file (other commands)")
-        p.add_argument("--format", choices=("csv", "json", "both"), default="both",
-                       help="export format for datasets")
+    def add_out(p, what="output file (default: standard output)"):
+        p.add_argument("--out", default=None, help=what)
 
     p = sub.add_parser("simulate", help="run a configured experiment and export the dataset")
     p.add_argument("config", help="INI experiment configuration file")
-    add_common(p)
+    p.add_argument("--seed", type=int, default=None, help="override the master seed")
+    p.add_argument("--format", choices=("csv", "json", "both"), default="both",
+                   help="export format for datasets")
+    add_out(p, "output directory (default: the config's output_dir)")
 
     p = sub.add_parser("analyze", help="change-point segmentation of a photon trace CSV")
     p.add_argument("trace", help="photon trace CSV (header: bin_start_s,counts)")
@@ -57,14 +55,14 @@ def _build_parser() -> _Parser:
                    help="log-likelihood penalty per change point (default 1.5*ln(n))")
     p.add_argument("--per-atom-rate", type=float, default=1.6e4)
     p.add_argument("--background-rate", type=float, default=5e3)
-    add_common(p)
+    add_out(p)
 
     p = sub.add_parser("classify", help="posterior over bright atoms in a detection window")
     p.add_argument("counts", type=int, help="photon counts in the detection window")
     p.add_argument("--atoms", type=int, required=True, help="number of atoms in the trap")
     p.add_argument("--mean-photons", type=float, default=3.0)
     p.add_argument("--background", type=float, default=0.5)
-    add_common(p)
+    add_out(p)
 
     p = sub.add_parser("fit", help="maximum-likelihood fit of a dataset CSV")
     p.add_argument("data", nargs="+",
@@ -77,12 +75,12 @@ def _build_parser() -> _Parser:
                    help="prepared state for a single-arm relaxation fit")
     p.add_argument("--bootstrap", type=int, default=0,
                    help="number of parametric bootstrap resamples")
-    add_common(p)
+    add_out(p)
 
     p = sub.add_parser("validate-seq", help="check a switching-sequence CSV for violations")
     p.add_argument("sequence", help="sequence CSV (header: time_s,channel,state)")
     p.add_argument("--initial-state", choices=("mot", "hold"), default="mot")
-    add_common(p)
+    add_out(p)
 
     return parser
 
@@ -96,18 +94,7 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 
 def _read_fit_csv(path: str, header: list[str]):
-    rows = read_csv_rows(path)
-    if not rows or rows[0] != header:
-        raise ValueError(f"{path}: expected header '{','.join(header)}'")
-    points = []
-    for line, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise ValueError(
-                f"{path}: row {line} has {len(row)} fields, expected {len(header)}")
-        points.append(tuple(float(x) for x in row))
-    return points
+    return [tuple(float(x) for x in row) for row in read_csv_table(path, header)]
 
 
 def _cmd_simulate(args) -> int:

@@ -16,12 +16,11 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from . import physics
+from . import physics, streams
 from .analysis import (
     FitError,
     FitResult,
+    classify_burst,
     fit_exponential_survival,
     fit_relaxation,
     fit_relaxation_joint,
@@ -29,7 +28,6 @@ from .analysis import (
 from .kinetics import HyperfineRates, MotRates, gillespie_mot, magnetic_trap_survival
 from .sequence import PhysicsBundle, build_protocol, chain, compile_sequence, run_plan
 from .signals import BurstModel, DetectorModel, PhotonTrace, synthesize_mot_trace
-from .streams import run_stream
 
 __all__ = [
     "ConfigError",
@@ -403,27 +401,23 @@ def _dataset(cfg: ExperimentConfig, points, counters, fits=None, traces=None) ->
     )
 
 
-def _repeat(cfg: ExperimentConfig, arms) -> tuple[list[tuple[int, int]], dict[str, list[int]]]:
+def _repeat(cfg: ExperimentConfig, arms) -> tuple[list[list], dict[str, list[int]]]:
     """Run every arm cfg.repetitions times, each run on its own stream.
 
+    The one place where the runner draws a random stream, for every kind.
     arms: (run_counters key, run) pairs in schedule order, where run(rng)
-    returns two counts to be summed over the repetitions. Run counters are
-    consecutive across the arms. Returns the per-arm sums and the counters.
+    returns the outcome of one run. Run counters are consecutive across the
+    arms. Returns each arm's list of outcomes, in run order, and the counters.
     """
-    sums = []
+    outcomes = []
     counters: dict[str, list[int]] = {}
     counter = 0
     for key, run in arms:
-        used = list(range(counter, counter + cfg.repetitions))
+        used = range(counter, counter + cfg.repetitions)
         counter += cfg.repetitions
-        a = b = 0
-        for index in used:
-            x, y = run(run_stream(cfg.master_seed, index))
-            a += x
-            b += y
-        sums.append((a, b))
-        counters[key] = used
-    return sums, counters
+        outcomes.append([run(streams.run_stream(cfg.master_seed, i)) for i in used])
+        counters[key] = list(used)
+    return outcomes, counters
 
 
 def _survival_experiment(cfg: ExperimentConfig) -> Dataset:
@@ -460,16 +454,12 @@ def _survival_experiment(cfg: ExperimentConfig) -> Dataset:
                 rec = run_plan(plan, cfg.atoms_per_run, bundle, rng)
                 return rec.recaptured_n or 0, rec.prepared_n or 0
             return run
-    sums, counters = _repeat(cfg, [(f"t={t!r}", runs_at(t)) for t in cfg.schedule])
-    points = [
-        {
-            "t_hold_s": t_hold,
-            "survived": survived,
-            "total": total,
-            "fraction": survived / total if total else 0.0,
-        }
-        for t_hold, (survived, total) in zip(cfg.schedule, sums)
-    ]
+    outcomes, counters = _repeat(cfg, [(f"t={t!r}", runs_at(t)) for t in cfg.schedule])
+    points = []
+    for t_hold, runs in zip(cfg.schedule, outcomes):
+        survived, total = map(sum, zip(*runs))
+        points.append({"t_hold_s": t_hold, "survived": survived, "total": total,
+                       "fraction": survived / total if total else 0.0})
     fits = {}
     if cfg.kind != "transfer_efficiency" and len(cfg.schedule) >= 2:
         fit_points = [(p["t_hold_s"], p["survived"], p["total"]) for p in points]
@@ -504,10 +494,11 @@ def _relaxation_experiment(cfg: ExperimentConfig) -> Dataset:
         return run
 
     grid = [(t, f) for t in cfg.schedule for f in (3, 4)]
-    sums, counters = _repeat(cfg, [(f"t={t!r},f={f}", arm(f, t)) for t, f in grid])
+    outcomes, counters = _repeat(cfg, [(f"t={t!r},f={f}", arm(f, t)) for t, f in grid])
     points = []
     bg = burst.background_photons_per_window * cfg.repetitions
-    for (t_hold, f_init), (total_counts, total_atoms) in zip(grid, sums):
+    for (t_hold, f_init), runs in zip(grid, outcomes):
+        total_counts, total_atoms = map(sum, zip(*runs))
         if total_atoms and burst.mean_photons_per_atom > 0:
             p4_hat = (total_counts - bg) / (burst.mean_photons_per_atom * total_atoms)
             p4_hat = min(max(p4_hat, 0.0), 1.0)
@@ -537,35 +528,43 @@ def _relaxation_experiment(cfg: ExperimentConfig) -> Dataset:
 
 def _mot_monitor_experiment(cfg: ExperimentConfig) -> Dataset:
     det = cfg.detector_model()
-    rng = run_stream(cfg.master_seed, 0)
-    duration = cfg.schedule[0]
-    traj = gillespie_mot(cfg.mot_rates(), cfg.atoms_per_run, duration, rng)
-    trace = synthesize_mot_trace(traj, det, overlap_windows=(), rng=rng)
+
+    def run(rng):
+        traj = gillespie_mot(cfg.mot_rates(), cfg.atoms_per_run, cfg.schedule[0], rng)
+        return traj, synthesize_mot_trace(traj, det, overlap_windows=(), rng=rng)
+
+    [[(traj, trace)]], counters = _repeat(cfg, [("runs", run)])
     points = [
         {"time_s": float(t), "n_atoms": int(v)} for t, v in zip(traj.times, traj.values)
     ]
-    return _dataset(cfg, points, {"runs": [0]}, traces=[("mot_monitor", trace)])
+    return _dataset(cfg, points, counters, traces=[("mot_monitor", trace)])
 
 
 def _detection_demo_experiment(cfg: ExperimentConfig) -> Dataset:
+    """One prepare -> hold -> detect run per prepared state; the burst is
+    classified here, against the atoms in the trap when the detection starts."""
     bundle = cfg.physics_bundle()
+
+    def arm(f_init):
+        plan = _prepare_detect_plan(cfg, f_init, cfg.schedule[0])
+
+        def run(rng):
+            rec = run_plan(plan, cfg.atoms_per_run, bundle, rng)
+            return rec.final_n, _burst(rec)
+        return run
+
+    outcomes, counters = _repeat(cfg, [(f"f={f}", arm(f)) for f in (3, 4)])
     points = []
     traces = []
-    counters: dict[str, list[int]] = {}
-    for counter, f_init in enumerate((3, 4)):
-        plan = _prepare_detect_plan(cfg, f_init, cfg.schedule[0])
-        rec = run_plan(plan, cfg.atoms_per_run, bundle, run_stream(cfg.master_seed, counter))
-        burst_trace = _burst(rec)
+    for f_init, [(n_atoms, burst_trace)] in zip((3, 4), outcomes):
+        window_counts = int(burst_trace.counts.sum())
         traces.append((f"detect_f{f_init}", burst_trace))
-        points.append(
-            {
-                "f_initial": f_init,
-                "n_atoms": rec.survivors or 0,
-                "window_counts": int(burst_trace.counts.sum()),
-                "map_bright_atoms": rec.classification.map_k if rec.classification else 0,
-            }
-        )
-        counters[f"f={f_init}"] = [counter]
+        points.append({
+            "f_initial": f_init,
+            "n_atoms": n_atoms,
+            "window_counts": window_counts,
+            "map_bright_atoms": classify_burst(window_counts, n_atoms, bundle.burst).map_k,
+        })
     return _dataset(cfg, points, counters, traces=traces)
 
 

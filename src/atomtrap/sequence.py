@@ -5,7 +5,8 @@ channel state. The canonical protocols (transfer, recapture, hyperfine
 preparation, state-selective detection) are produced by build_protocol
 and can be composed with chain(); compile_sequence validates a timeline
 once and reduces it to a plan of phases, which run_plan executes by
-dispatching each phase to the kinetics and signal modules.
+dispatching each phase to the kinetics and signal modules. Running a plan
+only simulates: recovering anything from its traces is the caller's job.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import enum
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,12 +32,11 @@ from .signals import (
     DetectorModel,
     PhotonTrace,
     PiecewiseRate,
-    mot_rate_profile,
-    read_csv_rows,
+    read_csv_table,
     synthesize_counts,
     synthesize_detection_burst,
+    synthesize_mot_trace,
 )
-from .analysis import BurstClassification, classify_burst
 
 __all__ = [
     "Channel",
@@ -216,6 +216,7 @@ def chain(*parts) -> Sequence:
 
 POCKELS_GAP_S = 50e-6
 HOLD_GRACE_S = 200e-6  # longest tolerated interval with no light and no field
+MIXED_STATE_P4 = 0.5  # F=4 probability of an atom in an unprepared hyperfine state
 
 
 def validate_sequence(seq: Sequence) -> list[Violation]:
@@ -242,7 +243,6 @@ class PhysicsBundle:
     dipole_lifetime: float = 51.0
     magnetic_lifetime: float | None = None  # None: same as the dipole trap
     loading_efficiency: float = 1.0  # per-atom transfer success probability
-    mixed_state_p4: float = 0.5
 
     def __post_init__(self):
         if not (0 <= self.loading_efficiency <= 1):
@@ -255,13 +255,11 @@ class PhysicsBundle:
 class RunRecord:
     """Outcome of one simulated sequence execution."""
 
-    sequence: Sequence
     prepared_n: int | None
     prepared_state: str | None  # '3', '4', or 'mixed'
     traces: list[tuple[str, PhotonTrace]]
     survivors: int | None
     recaptured_n: int | None
-    classification: BurstClassification | None
     final_n: int
 
 
@@ -445,11 +443,11 @@ def run_plan(
     endpoint law (mot_endpoint) when there is no two-body loss and no trace
     is made, otherwise along a gillespie_mot path. Dipole holds apply
     exponential survival and, where a later detection reads it, the
-    hyperfine endpoint law. Detect phases synthesize and classify the
-    fluorescence burst, whose trace is always returned. A magnetic hold
-    applies the 50% spin projection plus the same exponential decay. With
-    traces=True the MOT fluorescence of phases of at least one detector bin
-    and the stray light of such holds are synthesized as well.
+    hyperfine endpoint law. Detect phases synthesize the fluorescence
+    burst, whose trace is always returned; it is not classified here. A
+    magnetic hold applies the 50% spin projection plus the same exponential
+    decay. With traces=True the MOT fluorescence of phases of at least one
+    detector bin and the stray light of such holds are synthesized as well.
     """
     if initial_n < 0:
         raise ValueError("initial_n must be non-negative")
@@ -462,7 +460,7 @@ def run_plan(
     n = int(initial_n)
     n4: int | None = None  # atoms in F=4 while the hyperfine state is tracked
     out: list[tuple[str, PhotonTrace]] = []
-    prepared_n = prepared_state = survivors = recaptured_n = classification = None
+    prepared_n = prepared_state = survivors = recaptured_n = None
 
     for ph in plan.phases:
         cat, dt = ph.category, ph.dt
@@ -473,7 +471,7 @@ def run_plan(
                 n = int(rng.binomial(n, physics.loading_efficiency))
             if ph.tracks_f:
                 if prepared_state == "mixed":
-                    n4 = int(rng.binomial(n, physics.mixed_state_p4)) if n else 0
+                    n4 = int(rng.binomial(n, MIXED_STATE_P4)) if n else 0
                 else:
                     n4 = n if prepared_state == "4" else 0
         if ph.recapture:
@@ -485,8 +483,7 @@ def run_plan(
                 traj = gillespie_mot(mot, n, dt, rng)
                 n = traj.final_value()
                 windows = [(0.0, dt)] if cat == "overlap" else []
-                profile = mot_rate_profile(traj, det, overlap_windows=windows)
-                out.append((cat, synthesize_counts(profile, 0.0, dt, det.bin_width, rng)))
+                out.append((cat, synthesize_mot_trace(traj, det, windows, rng)))
             elif mot_endpoint_exact:
                 n = mot_endpoint(mot, n, dt, rng)
             else:
@@ -509,23 +506,13 @@ def run_plan(
             survivors = n
         elif cat == "detect":
             if n4 is None:
-                n4 = int(rng.binomial(n, physics.mixed_state_p4)) if n else 0
-            burst = synthesize_detection_burst(n4, n - n4, physics.burst, rng, window=dt)
-            out.append((cat, burst))
-            classification = classify_burst(int(burst.counts.sum()), n, physics.burst)
+                n4 = int(rng.binomial(n, MIXED_STATE_P4)) if n else 0
+            out.append((cat, synthesize_detection_burst(n4, n - n4, physics.burst, rng, window=dt)))
             n4 = 0  # detection light pumps the atoms dark
         # 'gap': nothing happens on the Pockels-gap time scale
 
-    return RunRecord(
-        sequence=plan.sequence,
-        prepared_n=prepared_n,
-        prepared_state=prepared_state,
-        traces=out,
-        survivors=survivors,
-        recaptured_n=recaptured_n,
-        classification=classification,
-        final_n=n,
-    )
+    return RunRecord(prepared_n=prepared_n, prepared_state=prepared_state, traces=out,
+                     survivors=survivors, recaptured_n=recaptured_n, final_n=n)
 
 
 def simulate_sequence(
@@ -548,14 +535,8 @@ def sequence_to_csv(seq: Sequence) -> str:
 
 
 def sequence_from_csv(text_or_path, label: str = "", initial_state=None) -> Sequence:
-    rows = read_csv_rows(text_or_path)
-    if not rows or rows[0] != ["time_s", "channel", "state"]:
-        raise ValueError("expected header 'time_s,channel,state'")
     events = []
-    for row in rows[1:]:
-        if not row:
-            continue
-        t, ch, st = row
+    for t, ch, st in read_csv_table(text_or_path, ["time_s", "channel", "state"]):
         if st not in ("on", "off"):
             raise ValueError(f"state must be 'on' or 'off', got {st!r}")
         events.append(SequenceEvent(float(t), Channel(ch), st == "on"))

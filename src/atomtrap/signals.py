@@ -80,18 +80,37 @@ class BurstModel:
 
 
 # relative deviation of a bin spacing from the median that from_csv accepts;
-# far above the 9-significant-digit rounding of to_csv
+# to_csv writes enough digits to stay inside it
 BIN_SPACING_TOLERANCE = 0.01
 
 
-def read_csv_rows(text_or_path) -> list[list[str]]:
-    """CSV rows of an open file, a text holding a newline, or a file path."""
+def read_csv_table(text_or_path, header: list[str]) -> list[list[str]]:
+    """The non-empty rows below the header of a CSV table.
+
+    text_or_path is an open file, a text holding a newline, or a file path.
+    Raises ValueError, naming the source, when the header differs or a row
+    has a different number of fields than the header.
+    """
     if hasattr(text_or_path, "read"):
-        return list(csv.reader(text_or_path))
-    if "\n" in str(text_or_path):
-        return list(csv.reader(io.StringIO(str(text_or_path))))
-    with open(text_or_path, newline="") as fh:
-        return list(csv.reader(fh))
+        name, rows = getattr(text_or_path, "name", "<stream>"), list(csv.reader(text_or_path))
+    elif "\n" in str(text_or_path):
+        name, rows = "<text>", list(csv.reader(io.StringIO(str(text_or_path))))
+    else:
+        name = str(text_or_path)
+        with open(text_or_path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    if not rows or rows[0] != header:
+        raise ValueError(f"{name}: expected header '{','.join(header)}'")
+    body = [row for row in rows[1:] if row]
+    if set(map(len, body)) - {len(header)}:
+        line, row = next((i, r) for i, r in enumerate(rows, 1) if r and len(r) != len(header))
+        raise ValueError(f"{name}: row {line} has {len(row)} fields, expected {len(header)}")
+    return body
+
+
+def _off(spacing: np.ndarray, width: float) -> np.ndarray:
+    """Which bin spacings deviate from width by more than the tolerance."""
+    return np.abs(spacing - width) > BIN_SPACING_TOLERANCE * width
 
 
 @dataclass
@@ -116,11 +135,19 @@ class PhotonTrace:
         return self.t0 + self.bin_width * np.arange(len(self.counts))
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("bin_start_s,counts\n")
-        for t, c in zip(self.bin_starts, self.counts):
-            buf.write(f"{t:.9g},{int(c)}\n")
-        return buf.getvalue()
+        """Bin starts with the fewest significant digits, at least 9, whose
+        spacings stay within BIN_SPACING_TOLERANCE of the bin width and of
+        their median, so from_csv reads the trace back; 17 digits are exact."""
+        for digits in range(9, 18):
+            starts = [f"{t:.{digits}g}" for t in self.bin_starts.tolist()]
+            if digits == 17 or len(starts) < 2:
+                break
+            spacing = np.diff(np.array(starts, dtype=float))
+            if not (_off(spacing, self.bin_width).any()
+                    or _off(spacing, float(np.median(spacing))).any()):
+                break
+        rows = "".join(f"{t},{c}\n" for t, c in zip(starts, self.counts.tolist()))
+        return "bin_start_s,counts\n" + rows
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="\n") as fh:
@@ -134,17 +161,14 @@ class PhotonTrace:
         undefined) and for bin starts whose spacing is not uniform within
         BIN_SPACING_TOLERANCE of the median spacing.
         """
-        rows = read_csv_rows(text_or_path)
-        if not rows or rows[0] != ["bin_start_s", "counts"]:
-            raise ValueError("expected header 'bin_start_s,counts'")
-        body = [r for r in rows[1:] if r]
+        body = read_csv_table(text_or_path, ["bin_start_s", "counts"])
         starts = np.array([float(r[0]) for r in body])
         counts = np.array([int(r[1]) for r in body])
         if len(starts) < 2:
             raise ValueError(f"trace has {len(starts)} bin(s); the bin width needs at least two")
         spacing = np.diff(starts)
         width = float(np.median(spacing))
-        off = np.abs(spacing - width) > BIN_SPACING_TOLERANCE * width
+        off = _off(spacing, width)
         if width <= 0 or off.any():
             i = int(np.argmax(off)) if width > 0 else 0
             raise ValueError(

@@ -116,6 +116,13 @@ class TestAnalyze:
         code, _, _ = run_cli(capsys, "analyze", str(path))
         assert code == 2
 
+    def test_short_row_is_data_error_naming_the_row(self, tmp_path, capsys):
+        path = tmp_path / "short.csv"
+        path.write_text("bin_start_s,counts\n0\n0.1,2\n0.2,3\n")
+        code, _, err = run_cli(capsys, "analyze", str(path))
+        assert code == 2
+        assert f"{path}: row 2 has 1 fields, expected 2" in err
+
 
 class TestFit:
     def test_survival(self, tmp_path, capsys):
@@ -188,6 +195,13 @@ class TestValidateSeq:
         rec = json.loads(out)
         assert any(v["code"] == "pockels_gap" for v in rec["violations"])
 
+    def test_short_row_is_data_error_naming_the_row(self, tmp_path, capsys):
+        path = tmp_path / "short.csv"
+        path.write_text("time_s,channel,state\n0.0,DIPOLE\n")
+        code, _, err = run_cli(capsys, "validate-seq", str(path))
+        assert code == 2
+        assert f"{path}: row 2 has 2 fields, expected 3" in err
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
@@ -199,6 +213,19 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["classify", "3"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "trace.csv", "--seed", "1"),
+        ("analyze", "trace.csv", "--format", "csv"),
+        ("classify", "3", "--atoms", "2", "--seed", "1"),
+        ("fit", "data.csv", "--model", "survival", "--format", "json"),
+        ("validate-seq", "seq.csv", "--seed", "1"),
+    ])
+    def test_seed_and_format_belong_to_simulate(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_console_script_installed(self):
         tomllib = pytest.importorskip("tomllib")

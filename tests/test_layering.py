@@ -1,0 +1,46 @@
+"""The simulation layers do not depend on recovery, orchestration or the CLI."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import atomtrap
+
+PACKAGE = Path(atomtrap.__file__).resolve().parent
+SIMULATION = ("physics", "kinetics", "signals", "sequence", "streams")
+ABOVE = {"analysis", "runner", "cli"}
+
+
+def _imported_modules(source: str) -> set[str]:
+    """Sibling atomtrap modules a module source imports, by bare name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "atomtrap" and len(parts) > 1:
+                    found.add(parts[1])
+        elif isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0 and parts[0] != "atomtrap":
+                continue
+            if node.level == 0:
+                parts = parts[1:]
+            if parts and parts[0]:
+                found.add(parts[0])
+            else:  # from . import x
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_scan_sees_every_import_form():
+    source = ("from .analysis import classify_burst\nfrom . import runner\n"
+              "import atomtrap.cli\nfrom atomtrap.signals import PhotonTrace\nimport numpy\n")
+    assert _imported_modules(source) == {"analysis", "runner", "cli", "signals"}
+
+
+@pytest.mark.parametrize("module", SIMULATION)
+def test_simulation_layer_imports_nothing_above_it(module):
+    source = (PACKAGE / f"{module}.py").read_text()
+    assert not _imported_modules(source) & ABOVE

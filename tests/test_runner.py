@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from atomtrap import (
     EXPERIMENT_KINDS,
     ConfigError,
+    classify_burst,
     export_dataset,
     load_config,
     load_dataset_json,
@@ -186,6 +187,17 @@ class TestRunExperiment:
         ds = run_experiment(small("detection_demo"))
         names = [n for n, _ in ds.traces]
         assert names == ["detect_f3", "detect_f4"]
+
+    @pytest.mark.parametrize("schedule", ["0.1", "0"])
+    def test_detection_demo_classifies_the_exported_burst(self, schedule):
+        # at a zero hold no hold phase books survivors: n_atoms is still the
+        # number of atoms the detection light sees
+        for seed in range(50):
+            cfg = small("detection_demo", seed=seed, schedule_s=schedule)
+            for p in run_experiment(cfg).points:
+                assert p["map_bright_atoms"] == classify_burst(
+                    p["window_counts"], p["n_atoms"], cfg.burst_model()).map_k
+                assert p["n_atoms"] > 0
 
     def test_deterministic(self):
         a = run_experiment(small("relaxation", repetitions=5))

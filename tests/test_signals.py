@@ -14,7 +14,7 @@ from atomtrap import (
     synthesize_detection_burst,
     synthesize_mot_trace,
 )
-from atomtrap.signals import bin_expected_counts, mot_rate_profile
+from atomtrap.signals import BIN_SPACING_TOLERANCE, bin_expected_counts, mot_rate_profile
 
 
 class TestPiecewiseRate:
@@ -240,6 +240,24 @@ class TestPhotonTraceCsv:
         assert np.array_equal(back.counts, tr.counts)
         assert back.t0 == pytest.approx(tr.t0, rel=1e-8)
         assert back.bin_width == pytest.approx(width, rel=1e-5)
+
+    def test_large_start_round_trip(self):
+        # 9 digits would write all three starts as 36000
+        tr = PhotonTrace(t0=36000.0, bin_width=2e-5, counts=[1, 2, 3])
+        back = PhotonTrace.from_csv(tr.to_csv())
+        assert np.array_equal(back.counts, tr.counts)
+        assert back.t0 == 36000.0
+        assert back.bin_width == pytest.approx(2e-5, rel=BIN_SPACING_TOLERANCE)
+
+    @given(width=st.floats(1e-6, 10.0), t0=st.floats(0.0, 1e5),
+           counts=st.lists(st.integers(0, 10**6), min_size=2, max_size=50))
+    @settings(max_examples=50, deadline=None)
+    def test_large_start_round_trip_property(self, width, t0, counts):
+        tr = PhotonTrace(t0=t0, bin_width=width, counts=counts)
+        back = PhotonTrace.from_csv(tr.to_csv())
+        assert np.array_equal(back.counts, tr.counts)
+        assert back.t0 == pytest.approx(t0, rel=1e-8, abs=BIN_SPACING_TOLERANCE * width)
+        assert back.bin_width == pytest.approx(width, rel=BIN_SPACING_TOLERANCE)
 
     def test_file_round_trip(self, tmp_path):
         tr = PhotonTrace(t0=0.0, bin_width=0.2, counts=[4, 2])

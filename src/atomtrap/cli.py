@@ -93,8 +93,12 @@ def _write_or_print(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _read_fit_csv(path: str, header: list[str]):
-    return [tuple(float(x) for x in row) for row in read_csv_table(path, header)]
+_SURVIVAL_COLUMNS = {"t_s": float, "survived": int, "total": int}
+_RELAXATION_COLUMNS = {"t_s": float, "p4": float, "n": int}
+
+
+def _read_fit_csv(path: str, columns: dict[str, type]):
+    return list(zip(*(col.tolist() for col in read_csv_table(path, columns))))
 
 
 def _cmd_simulate(args) -> int:
@@ -149,24 +153,20 @@ def _cmd_fit(args) -> int:
     if args.model == "survival":
         if len(args.data) != 1:
             raise ValueError("the survival model takes exactly one data file")
-        pts = _read_fit_csv(args.data[0], ["t_s", "survived", "total"])
+        pts = _read_fit_csv(args.data[0], _SURVIVAL_COLUMNS)
         fit = fit_exponential_survival(
-            [(t, int(s), int(n)) for t, s, n in pts],
+            pts,
             offset_free=args.offset_free,
             bootstrap=args.bootstrap,
         )
     elif len(args.data) == 1:
         if args.f_initial is None:
             raise ValueError("a single-arm relaxation fit needs --f-initial {3,4}")
-        pts = _read_fit_csv(args.data[0], ["t_s", "p4", "n"])
-        fit = fit_relaxation([(t, p, int(n)) for t, p, n in pts],
-                             f_initial=args.f_initial, bootstrap=args.bootstrap)
+        pts = _read_fit_csv(args.data[0], _RELAXATION_COLUMNS)
+        fit = fit_relaxation(pts, f_initial=args.f_initial, bootstrap=args.bootstrap)
     elif len(args.data) == 2:
-        p3 = _read_fit_csv(args.data[0], ["t_s", "p4", "n"])
-        p4 = _read_fit_csv(args.data[1], ["t_s", "p4", "n"])
-        fit = fit_relaxation_joint([(t, p, int(n)) for t, p, n in p3],
-                                   [(t, p, int(n)) for t, p, n in p4],
-                                   bootstrap=args.bootstrap)
+        p3, p4 = (_read_fit_csv(path, _RELAXATION_COLUMNS) for path in args.data)
+        fit = fit_relaxation_joint(p3, p4, bootstrap=args.bootstrap)
     else:
         raise ValueError("the relaxation model takes one or two data files")
     _write_or_print(fit.to_json() + "\n", args.out)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import configparser
 import io
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -47,145 +48,95 @@ class ConfigError(ValueError):
     pass
 
 
-EXPERIMENT_KINDS = (
-    "mot_monitor",
-    "lifetime",
-    "magnetic_lifetime",
-    "transfer_efficiency",
-    "detection_demo",
-    "relaxation",
-)
-
 _DOPPLER_K = physics.AtomParams().doppler_temperature
 
 
-def _positive(v):
-    if v <= 0:
-        raise ValueError("must be positive")
-    return v
+def _finite(raw: str) -> float:
+    """The one float parser: nan and +-inf pass no range check, so reject them here."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
 
 
-def _non_negative(v):
-    if v < 0:
-        raise ValueError("must be non-negative")
-    return v
+def _checked(convert, ok, reason: str):
+    """A parser that converts the raw text, then raises ValueError(reason) unless ok(value)."""
+    def parse(raw: str):
+        value = convert(raw)
+        if not ok(value):
+            raise ValueError(reason)
+        return value
+    return parse
 
 
-def _at_least_one(v):
-    if v < 1:
-        raise ValueError("must be >= 1")
-    return v
+_positive = _checked(_finite, lambda v: v > 0, "must be positive")
+_non_negative = _checked(_finite, lambda v: v >= 0, "must be non-negative")
+_fraction = _checked(_finite, lambda v: 0 <= v <= 1, "must be in [0, 1]")
+_unit_fraction = _checked(_finite, lambda v: 0 < v <= 1, "must be in (0, 1]")
+_at_least_one = _checked(_finite, lambda v: v >= 1, "must be >= 1")
+_seed = _checked(int, lambda v: 0 <= v < 2**64, "must be in [0, 2**64)")
+_repetitions = _checked(int, lambda v: v >= 1, "must be >= 1")
+_atom_count = _checked(int, lambda v: v >= 0, "must be >= 0")
+_multiplicity = _checked(int, lambda v: v in (1, 2), "must be 1 or 2")
 
 
-def _seed(v):
-    if not 0 <= v < 2**64:
-        raise ValueError("must be in [0, 2**64)")
-    return v
+def _schedule(raw: str) -> list[float]:
+    times = [_finite(x) for x in raw.split(",") if x.strip()]
+    if not times or min(times) < 0:
+        raise ValueError("must be a non-empty list of non-negative times")
+    return times
 
 
-def _fraction(v):
-    if not (0 <= v <= 1):
-        raise ValueError("must be in [0, 1]")
-    return v
-
-
-def _unit_fraction(v):
-    if not (0 < v <= 1):
-        raise ValueError("must be in (0, 1]")
-    return v
-
-
-# section -> key -> (default, converter/validator)
+# section -> key -> (default, parser); a parser converts the raw text and
+# raises ValueError with the reason when the value is out of range. kind is
+# required; the other defaults of None come from the kind's row of _KINDS.
 _SCHEMA = {
     "experiment": {
         "kind": (None, str),
-        "master_seed": (0, int),
-        "repetitions": (None, int),
-        "atoms_per_run": (None, int),
-        "schedule_s": (None, str),
+        "master_seed": (0, _seed),
+        "repetitions": (None, _repetitions),
+        "atoms_per_run": (None, _atom_count),
+        "schedule_s": (None, _schedule),
         "output_dir": (".", str),
         "loading_mode": ("perfect", str),
     },
     "trap": {
-        "power_w": (2.5, float),
-        "waist_m": (5e-6, float),
-        "wavelength_m": (1.064e-6, float),
-        "raman_suppression": (90.0, float),
-        "intensity_averaging_factor": (0.125, float),
-        "dipole_lifetime_s": (51.0, float),
-        "magnetic_lifetime_s": (51.0, float),
+        "power_w": (2.5, _positive),
+        "waist_m": (5e-6, _positive),
+        "wavelength_m": (1.064e-6, _positive),
+        "raman_suppression": (90.0, _at_least_one),
+        "intensity_averaging_factor": (0.125, _unit_fraction),
+        "dipole_lifetime_s": (51.0, _positive),
+        "magnetic_lifetime_s": (51.0, _positive),
     },
     "mot": {
-        "loading_rate_per_s": (0.1, float),
-        "one_body_loss_per_s": (0.02, float),
-        "two_body_pair_rate_per_s": (0.0, float),
-        "two_body_multiplicity": (2, int),
-        "radius_m": (10e-6, float),
-        "temperature_k": (_DOPPLER_K, float),
+        "loading_rate_per_s": (0.1, _non_negative),
+        "one_body_loss_per_s": (0.02, _non_negative),
+        "two_body_pair_rate_per_s": (0.0, _non_negative),
+        "two_body_multiplicity": (2, _multiplicity),
+        "radius_m": (10e-6, _positive),
+        "temperature_k": (_DOPPLER_K, _positive),
     },
     "detector": {
-        "per_atom_rate_per_s": (1.6e4, float),
-        "background_rate_per_s": (5e3, float),
-        "bin_width_s": (0.1, float),
-        "overlap_suppression": (0.3, float),
-        "dipole_stray_rate_per_s": (5e3, float),
+        "per_atom_rate_per_s": (1.6e4, _non_negative),
+        "background_rate_per_s": (5e3, _non_negative),
+        "bin_width_s": (0.1, _positive),
+        "overlap_suppression": (0.3, _fraction),
+        "dipole_stray_rate_per_s": (5e3, _non_negative),
     },
     "burst": {
-        "mean_photons_per_atom": (3.0, float),
-        "background_photons_per_window": (0.5, float),
-        "burst_duration_s": (400e-6, float),
-        "detection_bin_s": (200e-6, float),
+        "mean_photons_per_atom": (3.0, _non_negative),
+        "background_photons_per_window": (0.5, _non_negative),
+        "burst_duration_s": (400e-6, _positive),
+        "detection_bin_s": (200e-6, _positive),
     },
     "sequence": {
-        "overlap_s": (5e-3, float),
-        "delay_s": (8e-3, float),
-        "gap_s": (50e-6, float),
-        "window_s": (2e-3, float),
+        "overlap_s": (5e-3, _positive),
+        "delay_s": (8e-3, _positive),
+        "gap_s": (50e-6, _positive),
+        "window_s": (2e-3, _positive),
     },
 }
-
-_RANGES = {
-    ("experiment", "master_seed"): _seed,
-    ("trap", "power_w"): _positive,
-    ("trap", "waist_m"): _positive,
-    ("trap", "wavelength_m"): _positive,
-    ("trap", "raman_suppression"): _at_least_one,
-    ("trap", "intensity_averaging_factor"): _unit_fraction,
-    ("trap", "dipole_lifetime_s"): _positive,
-    ("trap", "magnetic_lifetime_s"): _positive,
-    ("mot", "loading_rate_per_s"): _non_negative,
-    ("mot", "one_body_loss_per_s"): _non_negative,
-    ("mot", "two_body_pair_rate_per_s"): _non_negative,
-    ("mot", "radius_m"): _positive,
-    ("mot", "temperature_k"): _positive,
-    ("detector", "per_atom_rate_per_s"): _non_negative,
-    ("detector", "background_rate_per_s"): _non_negative,
-    ("detector", "bin_width_s"): _positive,
-    ("detector", "overlap_suppression"): _fraction,
-    ("detector", "dipole_stray_rate_per_s"): _non_negative,
-    ("burst", "mean_photons_per_atom"): _non_negative,
-    ("burst", "background_photons_per_window"): _non_negative,
-    ("burst", "burst_duration_s"): _positive,
-    ("burst", "detection_bin_s"): _positive,
-    ("sequence", "overlap_s"): _positive,
-    ("sequence", "delay_s"): _positive,
-    ("sequence", "gap_s"): _positive,
-    ("sequence", "window_s"): _positive,
-}
-
-# per-kind (schedule, repetitions, atoms_per_run) defaults
-_KIND_DEFAULTS = {
-    "lifetime": ([1, 5, 10, 20, 40, 60, 80], 100, 4),
-    "magnetic_lifetime": ([1, 5, 10, 20, 40, 60, 80], 250, 4),
-    "transfer_efficiency": ([1.0], 10000, 1),
-    "relaxation": ([3, 4, 4.5, 5, 5.5, 6, 8, 12], 30, 3),
-    "detection_demo": ([0.1], 1, 3),
-    "mot_monitor": ([60.0], 1, 0),
-}
-
-# kinds that run once (per prepared state) at one time: repetitions and
-# further schedule entries would be ignored, so they are rejected
-_SINGLE_RUN_KINDS = ("mot_monitor", "detection_demo")
 
 
 @dataclass
@@ -288,54 +239,36 @@ def parse_config(text: str) -> ExperimentConfig:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]")
     for section, keys in _SCHEMA.items():
         values[section] = {}
-        for key, (default, conv) in keys.items():
-            if parser.has_option(section, key):
-                raw = parser.get(section, key)
-                try:
-                    val = conv(raw)
-                except ValueError as exc:
-                    raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
-            else:
-                val = default
-            if val is not None and (section, key) in _RANGES:
-                try:
-                    _RANGES[(section, key)](val)
-                except ValueError as exc:
-                    raise ConfigError(f"out-of-range value for {section}.{key}: {val} ({exc})") from exc
-            values[section][key] = val
+        for key, (default, parse) in keys.items():
+            if not parser.has_option(section, key):
+                values[section][key] = default
+                continue
+            raw = parser.get(section, key)
+            try:
+                values[section][key] = parse(raw)
+            except ValueError as exc:
+                raise ConfigError(f"bad value for {section}.{key}: {raw!r} ({exc})") from exc
 
     exp = values["experiment"]
     kind = exp["kind"]
     if kind is None:
         raise ConfigError("missing required key experiment.kind")
-    if kind not in EXPERIMENT_KINDS:
+    if kind not in _KINDS:
         raise ConfigError(f"unknown experiment kind {kind!r}; expected one of {EXPERIMENT_KINDS}")
     if exp["loading_mode"] not in ("perfect", "geometric"):
         raise ConfigError("experiment.loading_mode must be 'perfect' or 'geometric'")
-    if values["mot"]["two_body_multiplicity"] not in (1, 2):
-        raise ConfigError("mot.two_body_multiplicity must be 1 or 2")
 
-    sched_default, reps_default, atoms_default = _KIND_DEFAULTS[kind]
-    if exp["schedule_s"] is not None:
-        try:
-            schedule = [float(x) for x in str(exp["schedule_s"]).split(",") if x.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"bad schedule_s: {exp['schedule_s']!r}") from exc
-    else:
-        schedule = [float(x) for x in sched_default]
-    if not schedule or any(t < 0 for t in schedule):
-        raise ConfigError("schedule_s must be a non-empty list of non-negative times")
+    _, sched_default, reps_default, atoms_default = _KINDS[kind]
+    schedule = exp["schedule_s"]
+    if schedule is None:
+        schedule = [float(t) for t in sched_default]
     repetitions = exp["repetitions"] if exp["repetitions"] is not None else reps_default
-    if repetitions < 1:
-        raise ConfigError("experiment.repetitions must be >= 1")
-    if kind in _SINGLE_RUN_KINDS and repetitions != 1:
+    if reps_default == 1 and repetitions != 1:
         raise ConfigError(f"experiment.repetitions must be 1 for {kind}, got {repetitions}")
-    if kind in _SINGLE_RUN_KINDS and len(schedule) != 1:
+    if reps_default == 1 and len(schedule) != 1:
         raise ConfigError(
             f"experiment.schedule_s must hold one time for {kind}, got {len(schedule)}")
     atoms_per_run = exp["atoms_per_run"] if exp["atoms_per_run"] is not None else atoms_default
-    if atoms_per_run < 0:
-        raise ConfigError("experiment.atoms_per_run must be >= 0")
 
     return ExperimentConfig(
         kind=kind,
@@ -483,7 +416,7 @@ def _burst(rec) -> PhotonTrace:
 
 def _relaxation_experiment(cfg: ExperimentConfig) -> Dataset:
     bundle = cfg.physics_bundle()
-    burst = cfg.burst_model()
+    burst = bundle.burst
 
     def arm(f_init, t_hold):
         plan = _prepare_detect_plan(cfg, f_init, t_hold)
@@ -506,21 +439,17 @@ def _relaxation_experiment(cfg: ExperimentConfig) -> Dataset:
             p4_hat = 0.0
         points.append({"t_s": t_hold, "f_initial": f_init, "p4": p4_hat, "n": total_atoms})
     fits = {}
-    arm3 = [(p["t_s"], p["p4"], p["n"]) for p in points if p["f_initial"] == 3 and p["n"] > 0]
-    arm4 = [(p["t_s"], p["p4"], p["n"]) for p in points if p["f_initial"] == 4 and p["n"] > 0]
+    arm3, arm4 = ([(p["t_s"], p["p4"], p["n"]) for p in points
+                   if p["f_initial"] == f and p["n"] > 0] for f in (3, 4))
     # a per-arm fit raises FitError only on points that do not identify all
     # three parameters (a flat arm, say); the joint fit is the headline
     # estimator
-    if len(arm3) >= 3:
-        try:
-            fits["relaxation_f3"] = fit_relaxation(arm3, f_initial=3)
-        except FitError:
-            pass
-    if len(arm4) >= 3:
-        try:
-            fits["relaxation_f4"] = fit_relaxation(arm4, f_initial=4)
-        except FitError:
-            pass
+    for f_init, arm_points in ((3, arm3), (4, arm4)):
+        if len(arm_points) >= 3:
+            try:
+                fits[f"relaxation_f{f_init}"] = fit_relaxation(arm_points, f_initial=f_init)
+            except FitError:
+                pass
     if arm3 and arm4:
         fits["relaxation_joint"] = fit_relaxation_joint(arm3, arm4)
     return _dataset(cfg, points, counters, fits)
@@ -568,16 +497,25 @@ def _detection_demo_experiment(cfg: ExperimentConfig) -> Dataset:
     return _dataset(cfg, points, counters, traces=traces)
 
 
+# kind -> (driver, default schedule_s, default repetitions, default
+# atoms_per_run). A kind whose default is one repetition runs once at one
+# time: parse_config rejects other repetitions and further schedule entries.
+_KINDS = {
+    "mot_monitor": (_mot_monitor_experiment, [60.0], 1, 0),
+    "lifetime": (_survival_experiment, [1, 5, 10, 20, 40, 60, 80], 100, 4),
+    "magnetic_lifetime": (_survival_experiment, [1, 5, 10, 20, 40, 60, 80], 250, 4),
+    "transfer_efficiency": (_survival_experiment, [1.0], 10000, 1),
+    "detection_demo": (_detection_demo_experiment, [0.1], 1, 3),
+    "relaxation": (_relaxation_experiment, [3, 4, 4.5, 5, 5.5, 6, 8, 12], 30, 3),
+}
+
+EXPERIMENT_KINDS = tuple(_KINDS)
+
+
 def run_experiment(cfg: ExperimentConfig) -> Dataset:
-    if cfg.kind in ("lifetime", "magnetic_lifetime", "transfer_efficiency"):
-        return _survival_experiment(cfg)
-    if cfg.kind == "relaxation":
-        return _relaxation_experiment(cfg)
-    if cfg.kind == "mot_monitor":
-        return _mot_monitor_experiment(cfg)
-    if cfg.kind == "detection_demo":
-        return _detection_demo_experiment(cfg)
-    raise ConfigError(f"unknown experiment kind {cfg.kind!r}")
+    if cfg.kind not in _KINDS:
+        raise ConfigError(f"unknown experiment kind {cfg.kind!r}")
+    return _KINDS[cfg.kind][0](cfg)
 
 
 # ---------------------------------------------------------------------------

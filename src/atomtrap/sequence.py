@@ -103,6 +103,10 @@ class Sequence:
     initial_state: dict = field(default_factory=lambda: dict(MOT_OPERATION))
 
     def __post_init__(self):
+        if not all(math.isfinite(e.time) for e in self.events):
+            raise ValueError("event times must be finite")
+        if self.duration is not None and not math.isfinite(self.duration):
+            raise ValueError("duration must be finite")
         self.events = sorted(self.events, key=lambda e: e.time)
         if self.events and self.events[0].time < 0:
             raise ValueError("event times must be non-negative")
@@ -396,7 +400,7 @@ def _walk(seq: Sequence) -> tuple[list[Violation], tuple[Phase, ...]]:
             break
         if cat == "gap" and gap_start is None:
             gap_start = t0
-        if dropped and cat in _MOT_LIGHT:
+        if dropped and cat in ("mot", "overlap", "gap"):
             add("hold", 0.0)
         add(cat, t1 - t0)
 
@@ -418,9 +422,10 @@ def compile_sequence(seq: Sequence) -> SequencePlan:
 
     Raises ValueError for an invalid sequence. The transfer, recapture and
     preparation bookings depend only on the timeline, so they are fixed
-    here. When the MOT light goes off and back on at the same instant with
-    the dipole trap on, a zero-length hold is inserted so the transfer and
-    the recapture are still booked.
+    here. When the MOT light goes off with the dipole trap on and, at the
+    same instant, comes back on or the dipole trap goes off too, a
+    zero-length hold is inserted, so the transfer (with the prepared state
+    and its survivors) and any recapture are still booked.
     """
     violations, phases = _walk(seq)
     if violations:
@@ -536,9 +541,11 @@ def sequence_to_csv(seq: Sequence) -> str:
 
 def sequence_from_csv(text_or_path, label: str = "", initial_state=None) -> Sequence:
     events = []
-    for t, ch, st in read_csv_table(text_or_path, ["time_s", "channel", "state"]):
+    times, channels, states = read_csv_table(
+        text_or_path, {"time_s": float, "channel": str, "state": str})
+    for t, ch, st in zip(times.tolist(), channels, states):
         if st not in ("on", "off"):
             raise ValueError(f"state must be 'on' or 'off', got {st!r}")
-        events.append(SequenceEvent(float(t), Channel(ch), st == "on"))
+        events.append(SequenceEvent(t, Channel(ch), st == "on"))
     kwargs = {} if initial_state is None else {"initial_state": dict(initial_state)}
     return Sequence(events, label=label, **kwargs)

@@ -84,13 +84,31 @@ class BurstModel:
 BIN_SPACING_TOLERANCE = 0.01
 
 
-def read_csv_table(text_or_path, header: list[str]) -> list[list[str]]:
-    """The non-empty rows below the header of a CSV table.
+def _column(fields, kind):
+    """Text fields as one column of kind: a float or int array, or the str list.
+
+    Raises ValueError when a field does not convert, or a float is not finite.
+    """
+    if kind is str:
+        return fields
+    values = np.array(fields, dtype=kind)
+    if kind is float and not np.isfinite(values).all():
+        raise ValueError(f"{fields[int(np.argmin(np.isfinite(values)))]!r} is not a finite number")
+    return values
+
+
+def read_csv_table(text_or_path, columns: dict[str, type]) -> list:
+    """The columns below the header of a CSV table, converted to their types.
 
     text_or_path is an open file, a text holding a newline, or a file path.
-    Raises ValueError, naming the source, when the header differs or a row
-    has a different number of fields than the header.
+    columns maps each header field, in order, to float, int or str; a float
+    or int column comes back as a numpy array, a str column as a list.
+    Raises ValueError, naming the source, when the header differs, a row
+    has a different number of fields than the header, or a field does not
+    convert to its column's type (floats must be finite); the last two name
+    the row as well.
     """
+    header = list(columns)
     if hasattr(text_or_path, "read"):
         name, rows = getattr(text_or_path, "name", "<stream>"), list(csv.reader(text_or_path))
     elif "\n" in str(text_or_path):
@@ -105,7 +123,21 @@ def read_csv_table(text_or_path, header: list[str]) -> list[list[str]]:
     if set(map(len, body)) - {len(header)}:
         line, row = next((i, r) for i, r in enumerate(rows, 1) if r and len(r) != len(header))
         raise ValueError(f"{name}: row {line} has {len(row)} fields, expected {len(header)}")
-    return body
+    out = []
+    for j, col in enumerate(header):
+        try:
+            out.append(_column([row[j] for row in body], columns[col]))
+        except (ValueError, OverflowError):
+            # convert field by field only now, to name the first bad row
+            for line, row in enumerate(rows[1:], 2):
+                if not row:
+                    continue
+                try:
+                    _column([row[j]], columns[col])
+                except (ValueError, OverflowError) as exc:
+                    raise ValueError(f"{name}: row {line}, column {col}: {exc}") from exc
+            raise
+    return out
 
 
 def _off(spacing: np.ndarray, width: float) -> np.ndarray:
@@ -161,9 +193,7 @@ class PhotonTrace:
         undefined) and for bin starts whose spacing is not uniform within
         BIN_SPACING_TOLERANCE of the median spacing.
         """
-        body = read_csv_table(text_or_path, ["bin_start_s", "counts"])
-        starts = np.array([float(r[0]) for r in body])
-        counts = np.array([int(r[1]) for r in body])
+        starts, counts = read_csv_table(text_or_path, {"bin_start_s": float, "counts": int})
         if len(starts) < 2:
             raise ValueError(f"trace has {len(starts)} bin(s); the bin width needs at least two")
         spacing = np.diff(starts)

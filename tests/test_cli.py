@@ -124,6 +124,19 @@ class TestAnalyze:
         assert f"{path}: row 2 has 1 fields, expected 2" in err
 
 
+    @pytest.mark.parametrize("row, column, reason", [
+        ("0.1,x", "counts", "invalid literal for int() with base 10: 'x'"),
+        ("nan,2", "bin_start_s", "'nan' is not a finite number"),
+    ])
+    def test_bad_field_is_data_error_naming_row_and_column(self, tmp_path, capsys,
+                                                           row, column, reason):
+        path = tmp_path / "bad_field.csv"
+        path.write_text(f"bin_start_s,counts\n0,1\n{row}\n0.2,3\n")
+        code, _, err = run_cli(capsys, "analyze", str(path))
+        assert code == 2
+        assert f"{path}: row 3, column {column}: {reason}" in err
+
+
 class TestFit:
     def test_survival(self, tmp_path, capsys):
         import numpy as np
@@ -169,6 +182,13 @@ class TestFit:
         assert code == 2
         assert f"{path}: row 3 has 2 fields, expected 3" in err
 
+    def test_bad_field_is_data_error_naming_row_and_column(self, tmp_path, capsys):
+        path = tmp_path / "bad_field.csv"
+        path.write_text("t_s,survived,total\n1,100,100\n10,ninety,100\n")
+        code, _, err = run_cli(capsys, "fit", str(path), "--model", "survival")
+        assert code == 2
+        assert f"{path}: row 3, column survived: " in err
+
     def test_degenerate_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "deg.csv"
         path.write_text("t_s,survived,total\n1,100,100\n10,100,100\n")
@@ -201,6 +221,17 @@ class TestValidateSeq:
         code, _, err = run_cli(capsys, "validate-seq", str(path))
         assert code == 2
         assert f"{path}: row 2 has 2 fields, expected 3" in err
+
+
+    def test_nan_event_time_is_data_error(self, tmp_path, capsys):
+        # a transfer whose MOT lasers switch off at nan
+        path = tmp_path / "nan.csv"
+        path.write_text("time_s,channel,state\n0.0,DIPOLE,on\n"
+                        "nan,COOLING,off\nnan,REPUMPER,off\n")
+        code, out, err = run_cli(capsys, "validate-seq", str(path))
+        assert code == 2
+        assert out == ""
+        assert f"{path}: row 3, column time_s: 'nan' is not a finite number" in err
 
 
 class TestUsageErrors:

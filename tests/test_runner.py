@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -17,8 +18,13 @@ from atomtrap import (
     run_experiment,
     serialize_config,
 )
+from atomtrap import runner
 
 MINIMAL = "[experiment]\nkind = lifetime\n"
+
+# every float key of the schema, with the section it belongs to
+_FLOAT_KEYS = [(section, key) for section, keys in runner._SCHEMA.items()
+               for key, (default, _) in keys.items() if isinstance(default, float)]
 
 
 class TestConfig:
@@ -59,6 +65,31 @@ class TestConfig:
     def test_raman_suppression_at_least_one(self):
         with pytest.raises(ConfigError, match="must be >= 1"):
             parse_config(MINIMAL + "[trap]\nraman_suppression = 0.5\n")
+
+    def test_bad_value_names_key_raw_text_and_reason(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(MINIMAL + "[trap]\nwaist_m = -1\n")
+        assert str(exc.value) == "bad value for trap.waist_m: '-1' (must be positive)"
+        for line, reason in (("repetitions = 0", "must be >= 1"),
+                             ("atoms_per_run = -1", "must be >= 0"),
+                             ("[mot]\ntwo_body_multiplicity = 3", "must be 1 or 2")):
+            with pytest.raises(ConfigError, match=re.escape(reason)):
+                parse_config(MINIMAL + line + "\n")
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("section,key", _FLOAT_KEYS)
+    def test_non_finite_float_rejected(self, section, key, raw):
+        with pytest.raises(ConfigError, match=re.escape(f"{section}.{key}: '{raw}' (must be finite)")):
+            parse_config(MINIMAL + f"[{section}]\n{key} = {raw}\n")
+
+    @pytest.mark.parametrize("kind,schedule", [
+        ("lifetime", "nan"), ("lifetime", "inf"), ("lifetime", "1, nan"),
+        ("lifetime", "-inf, 2"), ("mot_monitor", "nan"), ("mot_monitor", "inf"),
+    ])
+    def test_non_finite_schedule_rejected(self, kind, schedule):
+        # parsing only: mot_monitor at an infinite time would never end
+        with pytest.raises(ConfigError, match="experiment.schedule_s"):
+            parse_config(f"[experiment]\nkind = {kind}\nschedule_s = {schedule}\n")
 
     def test_parse_error_carries_line(self):
         with pytest.raises(ConfigError, match="line"):
@@ -190,14 +221,23 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("schedule", ["0.1", "0"])
     def test_detection_demo_classifies_the_exported_burst(self, schedule):
-        # at a zero hold no hold phase books survivors: n_atoms is still the
-        # number of atoms the detection light sees
+        # at a zero hold a zero-length hold books the transfer: n_atoms is
+        # the number of atoms the detection light sees
         for seed in range(50):
             cfg = small("detection_demo", seed=seed, schedule_s=schedule)
             for p in run_experiment(cfg).points:
                 assert p["map_bright_atoms"] == classify_burst(
                     p["window_counts"], p["n_atoms"], cfg.burst_model()).map_k
                 assert p["n_atoms"] > 0
+
+    def test_relaxation_at_zero_hold_counts_the_atoms(self):
+        # the zero-length hold before the detection books the survivors, so
+        # the t = 0 point keeps its atoms and its prepared state
+        ds = run_experiment(small("relaxation", schedule_s="0, 3"))
+        at_zero = {p["f_initial"]: p for p in ds.points if p["t_s"] == 0.0}
+        assert at_zero[3]["n"] > 0 and at_zero[4]["n"] > 0
+        assert at_zero[3]["p4"] < 0.2
+        assert at_zero[4]["p4"] > 0.8
 
     def test_deterministic(self):
         a = run_experiment(small("relaxation", repetitions=5))

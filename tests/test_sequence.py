@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from atomtrap import (
     DIPOLE_HOLD,
     MOT_OPERATION,
+    BurstModel,
     Channel,
     DetectorModel,
     MotRates,
@@ -107,6 +108,24 @@ class TestChain:
     def test_negative_delay(self):
         with pytest.raises(ValueError):
             chain(build_protocol("transfer"), -1.0)
+
+    @pytest.mark.parametrize("delay", [float("nan"), float("inf")])
+    def test_non_finite_delay(self, delay):
+        with pytest.raises(ValueError, match="finite"):
+            chain(build_protocol("transfer"), delay, build_protocol("recapture"))
+
+
+class TestSequence:
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_event_time_rejected(self, t):
+        with pytest.raises(ValueError, match="event times must be finite"):
+            Sequence([SequenceEvent(0.0, Channel.DIPOLE, True),
+                      SequenceEvent(t, Channel.COOLING, False)])
+
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf")])
+    def test_non_finite_duration_rejected(self, duration):
+        with pytest.raises(ValueError, match="duration must be finite"):
+            Sequence([SequenceEvent(0.0, Channel.DIPOLE, True)], duration=duration)
 
 
 class TestValidateSequence:
@@ -358,6 +377,42 @@ class TestCompileSequence:
             assert rec.prepared_n is not None
             assert rec.recaptured_n == rec.prepared_n
 
+    @pytest.mark.parametrize("f", ["3", "4"])
+    def test_zero_length_hold_before_detection_books_the_transfer(self, f):
+        # the dipole trap goes off as the last MOT laser does: the transfer,
+        # the prepared state and the survivors are still booked
+        plan = compile_sequence(
+            chain(build_protocol(f"prepare_f{f}"), 0.0, build_protocol("detect")))
+        assert [(ph.category, ph.transfer, ph.prepared_state, ph.tracks_f)
+                for ph in plan.phases] == [
+            ("overlap", False, None, False), ("overlap", False, None, False),
+            ("hold", True, f, True), ("gap", False, None, True),
+            ("detect", False, None, True),
+        ]
+        assert [ph.dt for ph in plan.phases] == pytest.approx([5e-3, 8e-3, 0.0, 50e-6, 2e-3])
+        physics = PhysicsBundle(burst=BurstModel(background_photons_per_window=0.0))
+        for i in range(50):
+            rec = run_plan(plan, 3, physics, run_stream(4, i))
+            assert (rec.prepared_state, rec.survivors) == (f, rec.final_n)
+            burst = next(tr for name, tr in rec.traces if name == "detect")
+            if f == "3":
+                assert burst.counts.sum() == 0  # no background, and F=3 stays dark
+
+    def test_magnetic_hold_after_transfer_gets_no_zero_hold(self):
+        # the dipole trap hands over to the magnetic trap at the instant the
+        # MOT light goes off: that is a magnetic hold, not a dipole transfer
+        seq = Sequence(
+            [SequenceEvent(0.0, Channel.DIPOLE, True),
+             SequenceEvent(5e-3, Channel.COOLING, False),
+             SequenceEvent(5e-3, Channel.REPUMPER, False),
+             SequenceEvent(5e-3, Channel.DIPOLE, False),
+             SequenceEvent(5e-3, Channel.B_FIELD, True)],
+            duration=1.0,
+        )
+        assert [(ph.category, ph.transfer, ph.prepared_state)
+                for ph in compile_sequence(seq).phases] == [
+            ("overlap", False, None), ("magnetic_hold", False, "mixed")]
+
     def test_invalid_sequence_rejected(self):
         seq = chain(build_protocol("transfer"), 0.5,
                     build_protocol("detect", gap_s=10e-6))
@@ -502,7 +557,7 @@ def test_timeline_corpus_golden():
         digest.update(_outcome(seq).encode())
     assert valid == 529
     assert digest.hexdigest() == (
-        "435866512bc589fcc77dab1505b51dd729068abe560169af1f71e80d8a20a15f")
+        "06e9c739586888be9126f221ec7d86f7d261740400324b336661b5b648a81399")
 
 
 @given(st.data())

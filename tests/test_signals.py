@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,12 @@ from atomtrap import (
     synthesize_detection_burst,
     synthesize_mot_trace,
 )
-from atomtrap.signals import BIN_SPACING_TOLERANCE, bin_expected_counts, mot_rate_profile
+from atomtrap.signals import (
+    BIN_SPACING_TOLERANCE,
+    bin_expected_counts,
+    mot_rate_profile,
+    read_csv_table,
+)
 
 
 class TestPiecewiseRate:
@@ -266,11 +273,37 @@ class TestPhotonTraceCsv:
         back = PhotonTrace.from_csv(str(path))
         assert np.array_equal(back.counts, tr.counts)
 
+    @pytest.mark.parametrize("row, column", [
+        ("0.1,x", "counts"), ("0.1,1.5", "counts"), ("x,2", "bin_start_s"),
+        ("nan,2", "bin_start_s"), ("inf,2", "bin_start_s"), ("0.1,nan", "counts"),
+    ])
+    def test_bad_field_names_row_and_column(self, row, column):
+        # row 4: the blank line below the header counts as a row
+        with pytest.raises(ValueError, match=re.escape(f"<text>: row 4, column {column}: ")):
+            PhotonTrace.from_csv(f"bin_start_s,counts\n\n0,1\n{row}\n0.2,3\n")
+
     def test_invalid_counts(self):
         with pytest.raises(ValueError):
             PhotonTrace(t0=0.0, bin_width=0.1, counts=[-1])
         with pytest.raises(ValueError):
             PhotonTrace(t0=0.0, bin_width=0.1, counts=[])
+
+
+class TestReadCsvTable:
+    def test_typed_columns(self):
+        starts, counts, words = read_csv_table(
+            "a,b,c\n0.5,1,on\n\n1e3,2,off\n", {"a": float, "b": int, "c": str})
+        assert starts.dtype == float and starts.tolist() == [0.5, 1000.0]
+        assert counts.dtype == np.int64 and counts.tolist() == [1, 2]
+        assert list(words) == ["on", "off"]
+
+    def test_empty_body_gives_empty_columns(self):
+        starts, words = read_csv_table("a,b\n", {"a": float, "b": str})
+        assert len(starts) == 0 and len(words) == 0
+
+    def test_int_overflow_names_the_row(self):
+        with pytest.raises(ValueError, match="row 3, column b: "):
+            read_csv_table("a,b\n0,1\n1,99999999999999999999999\n", {"a": float, "b": int})
 
 
 class TestModels:

@@ -16,10 +16,10 @@ rates = at.MotRates(loading_rate_r=0.1, one_body_loss=0.02)
 det = at.DetectorModel()
 
 traj = at.gillespie_mot(rates, n0=0, t_max=120.0, rng=rng)
-trace = at.synthesize_mot_trace(traj, det, (), rng)
+trace = at.synthesize_mot_trace(traj, det, rng)
 seg = at.infer_atom_numbers(at.detect_steps(trace), det)
 
-print(f"simulated {traj.final_value} atoms after {120.0:.0f} s "
+print(f"simulated {traj.final_value()} atoms after {120.0:.0f} s "
       f"(time-averaged {traj.time_average():.2f})")
 print(f"{len(seg.change_points)} change points detected")
 print("plateaus (start_s, end_s, level_per_s, inferred_n):")

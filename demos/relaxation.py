@@ -19,9 +19,8 @@ repetitions = 60
 atoms_per_run = 3
 """)
 rates = cfg.hyperfine_rates()
-lam = rates.r_4to3 + rates.r_3to4
-print(f"model rates: lambda = {lam:.4f} /s (tau = {1 / lam:.2f} s), "
-      f"P4_eq = {rates.r_3to4 / lam:.4f}")
+print(f"model rates: lambda = {rates.total:.4f} /s (tau = {1 / rates.total:.2f} s), "
+      f"P4_eq = {rates.p4_equilibrium:.4f}")
 
 ds = at.run_experiment(cfg)
 print(f"\n  {'t_s':>5} {'F_init':>6} {'p4':>7} {'n':>4}")
@@ -45,16 +44,15 @@ except ImportError:
 else:
     fig, ax = plt.subplots(figsize=(6, 4))
     t = np.linspace(0, 13, 200)
-    hf = at.HyperfineRates(rates.r_4to3, rates.r_3to4)
     for f_init, color in ((3, "C0"), (4, "C1")):
-        pts = [p for p in ds.points if p["f_initial"] == str(f_init)]
+        pts = [p for p in ds.points if p["f_initial"] == f_init]
         x = [p["t_s"] for p in pts]
         y = [p["p4"] for p in pts]
         err = [np.sqrt(max(p["p4"] * (1 - p["p4"]), 1e-3) / p["n"])
                for p in pts]
         ax.errorbar(x, y, yerr=err, fmt="o", color=color,
                     label=f"prepared F={f_init}")
-        ax.plot(t, [at.analytic_occupation(f_init, hf, ti) for ti in t],
+        ax.plot(t, [at.analytic_occupation(f_init, rates, ti) for ti in t],
                 "--", color=color, lw=1)
     tau_f = fit.parameters["tau"]
     peq_f = fit.parameters["p4_eq"]

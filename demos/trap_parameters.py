@@ -39,8 +39,8 @@ amp = at.amplitude_for_factor(1.0 / 8.0, trap)
 print(f"factor 1/8 is reached at A = {amp / trap.waist:.3f} w0")
 
 rates = at.effective_relaxation_rates(trap)
-print(f"\neffective relaxation rate   lambda = {rates.lambda_total:.4f} /s "
-      f"(tau = {1 / rates.lambda_total:.2f} s)")
+print(f"\neffective relaxation rate   lambda = {rates.total:.4f} /s "
+      f"(tau = {1 / rates.total:.2f} s)")
 print(f"equilibrium F=4 occupation  P4_eq  = {rates.p4_equilibrium:.4f}")
 print(f"peak-rate / lambda ratio           = "
-      f"{190.0 / rates.lambda_total:.0f}")
+      f"{190.0 / rates.total:.0f}")

@@ -14,7 +14,6 @@ from .physics import (
     GaussianBeam,
     TrapModel,
     MotCloud,
-    RelaxationRates,
     FluorescenceBudget,
     beam_intensity,
     trap_depth,

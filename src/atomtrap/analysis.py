@@ -107,28 +107,27 @@ class FitResult:
 # change-point detection
 # ---------------------------------------------------------------------------
 
-def _segment_loglik(total: float, n: int) -> float:
-    # Poisson log-likelihood at the rate MLE, dropping the factorial terms.
-    if total == 0:
-        return 0.0
-    return total * math.log(total / n) - total
+def _best_split(cs: np.ndarray, lo: int, hi: int):
+    """Best single split of bins [lo, hi): (log-likelihood gain, split index).
 
-
-def _best_split(counts: np.ndarray):
-    """Best single split of a segment: (log-likelihood gain, split index)."""
-    n = len(counts)
+    cs holds the prefix sums of the counts with a leading 0, so bins
+    [a, b) hold cs[b] - cs[a] counts. A segment's Poisson log-likelihood at
+    its rate MLE is total * ln(total / n) - total, without factorial terms.
+    """
+    n = hi - lo
     if n < 2:
         return -np.inf, None
-    cs = np.cumsum(counts, dtype=float)
-    total = cs[-1]
+    total = cs[hi] - cs[lo]
     i = np.arange(1, n)
-    left, right = cs[:-1], total - cs[:-1]
+    left = cs[lo + 1:hi] - cs[lo]
+    right = total - left
     with np.errstate(divide="ignore", invalid="ignore"):
         ll_left = np.where(left > 0, left * np.log(left / i) - left, 0.0)
         ll_right = np.where(right > 0, right * np.log(right / (n - i)) - right, 0.0)
-    gains = ll_left + ll_right - _segment_loglik(total, n)
+    whole = total * math.log(total / n) - total if total > 0 else 0.0
+    gains = ll_left + ll_right - whole
     k = int(np.argmax(gains))
-    return float(gains[k]), k + 1
+    return float(gains[k]), lo + k + 1
 
 
 def detect_steps(trace: PhotonTrace, penalty: float | None = None) -> Segmentation:
@@ -139,17 +138,16 @@ def detect_steps(trace: PhotonTrace, penalty: float | None = None) -> Segmentati
     change-point BIC that counts the split location alongside the new
     rate parameter; plain ln(n) admits noticeably more false positives.
     """
-    counts = trace.counts
-    n = len(counts)
+    n = len(trace.counts)
     if penalty is None:
         penalty = 1.5 * math.log(max(n, 2))
+    cs = np.concatenate([[0.0], np.cumsum(trace.counts, dtype=float)])
     change_points: list[int] = []
 
     def recurse(lo: int, hi: int) -> None:
-        gain, split = _best_split(counts[lo:hi])
-        if split is None or gain <= penalty:
+        gain, cp = _best_split(cs, lo, hi)
+        if cp is None or gain <= penalty:
             return
-        cp = lo + split
         recurse(lo, cp)
         change_points.append(cp)
         recurse(cp, hi)
@@ -159,7 +157,7 @@ def detect_steps(trace: PhotonTrace, penalty: float | None = None) -> Segmentati
     change_points.sort()
     boundaries = [0, *change_points, n]
     levels = [
-        float(counts[a:b].sum()) / ((b - a) * trace.bin_width)
+        float(cs[b] - cs[a]) / ((b - a) * trace.bin_width)
         for a, b in zip(boundaries[:-1], boundaries[1:])
     ]
     return Segmentation(
@@ -167,13 +165,15 @@ def detect_steps(trace: PhotonTrace, penalty: float | None = None) -> Segmentati
     )
 
 
-def infer_atom_numbers(
-    seg: Segmentation, det: DetectorModel, ambiguity_threshold: float = 0.3
-) -> Segmentation:
+# rounding residual, in atoms, above which a segment's atom number is ambiguous
+AMBIGUITY_THRESHOLD = 0.3
+
+
+def infer_atom_numbers(seg: Segmentation, det: DetectorModel) -> Segmentation:
     """Fill in integer atom numbers per segment from the detector calibration.
 
     n = round((level - background)/per_atom_rate); a segment is flagged
-    ambiguous when the rounding residual exceeds the threshold (in atoms).
+    ambiguous when the rounding residual exceeds AMBIGUITY_THRESHOLD.
     """
     if det.per_atom_rate <= 0:
         raise ValueError("per_atom_rate must be positive")
@@ -182,7 +182,7 @@ def infer_atom_numbers(
         x = (level - det.background_rate) / det.per_atom_rate
         n = max(int(round(x)), 0)
         inferred.append(n)
-        ambiguous.append(abs(x - n) > ambiguity_threshold)
+        ambiguous.append(abs(x - n) > AMBIGUITY_THRESHOLD)
     seg.inferred_n = inferred
     seg.ambiguous = ambiguous
     return seg
@@ -317,12 +317,6 @@ class _BinomialModel:
         observed -= np.einsum("i,ijk->jk", w, d2p)
         fisher = (jac.T * (self.tot / (p * (1 - p)))) @ jac
         return grad, observed, fisher
-
-    def grad(self, x):
-        return self.derivatives(x)[0]
-
-    def hessian(self, x):
-        return self.derivatives(x)[1]
 
     def solve(self, x0, param_names, lower, upper):
         """Projected Newton (Bertsekas 1982) with an Armijo search on the box.

@@ -14,12 +14,13 @@ from numpy.polynomial.legendre import leggauss
 from scipy import constants as const
 from scipy.optimize import brentq
 
+from .kinetics import HyperfineRates
+
 __all__ = [
     "AtomParams",
     "GaussianBeam",
     "TrapModel",
     "MotCloud",
-    "RelaxationRates",
     "FluorescenceBudget",
     "beam_intensity",
     "trap_depth",
@@ -42,7 +43,6 @@ class AtomParams:
     wavelength_d2: float = 852e-9  # m
     wavelength_d1: float = 894.6e-9  # m
     mass: float = _CS_MASS_KG  # kg
-    ground_states: tuple[int, int] = (3, 4)
 
     def __post_init__(self):
         if self.linewidth_gamma <= 0:
@@ -62,10 +62,6 @@ class AtomParams:
     def doppler_temperature(self) -> float:
         """T_D = hbar*Gamma / (2 k_B)."""
         return const.hbar * self.linewidth_gamma / (2 * const.k)
-
-    @classmethod
-    def cesium(cls) -> "AtomParams":
-        return cls()
 
 
 @dataclass(frozen=True)
@@ -140,15 +136,10 @@ class TrapModel:
 
 @dataclass(frozen=True)
 class MotCloud:
-    """Gaussian MOT cloud: 1/e fluorescence radius and temperature.
-
-    The field gradient is stored for provenance only; its effect on the
-    capture rate is absorbed into the configurable loading rate.
-    """
+    """Gaussian MOT cloud: 1/e fluorescence radius and temperature."""
 
     radius_r0: float = 10e-6
     temperature: float = AtomParams().doppler_temperature
-    field_gradient_g_per_cm: float = 375.0
 
     def __post_init__(self):
         if not (1e-6 <= self.radius_r0 <= 100e-6):
@@ -165,14 +156,6 @@ class MotCloud:
 class FluorescenceBudget:
     emitted_power: float  # W
     detected_rate: float  # counts/s per atom
-
-
-@dataclass(frozen=True)
-class RelaxationRates:
-    lambda_total: float  # 1/s
-    r_4to3: float  # 1/s
-    r_3to4: float  # 1/s
-    p4_equilibrium: float
 
 
 def beam_intensity(beam: GaussianBeam, r: float, z: float) -> float:
@@ -301,16 +284,12 @@ def amplitude_for_factor(target: float, trap: TrapModel, order: int = 256) -> fl
     return float(brentq(f, 0.0, hi, rtol=1e-6))
 
 
-def effective_relaxation_rates(trap: TrapModel) -> RelaxationRates:
+def effective_relaxation_rates(trap: TrapModel) -> HyperfineRates:
     """Hyperfine relaxation rates from suppressed, motion-averaged scattering.
 
     Branching weights follow the 2F'+1 rule for the F' = 3, 4 destinations:
-    r(4->3) = 7/16 of the total, r(3->4) = 9/16.
+    r(4->3) = 7/16 of the total rate lambda, r(3->4) = 9/16, so the
+    equilibrium F=4 occupation is 9/16.
     """
     lam = trap.peak_scattering_rate * trap.intensity_averaging_factor / trap.raman_suppression
-    return RelaxationRates(
-        lambda_total=lam,
-        r_4to3=7.0 / 16.0 * lam,
-        r_3to4=9.0 / 16.0 * lam,
-        p4_equilibrium=9.0 / 16.0,
-    )
+    return HyperfineRates(r_4to3=7.0 / 16.0 * lam, r_3to4=9.0 / 16.0 * lam)

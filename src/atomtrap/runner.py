@@ -51,8 +51,9 @@ class ConfigError(ValueError):
 _DOPPLER_K = physics.AtomParams().doppler_temperature
 
 
-def _finite(raw: str) -> float:
-    """The one float parser: nan and +-inf pass no range check, so reject them here."""
+def finite(raw: str) -> float:
+    """The one float parser, for config values and CLI options: nan and +-inf
+    pass no range check, so reject them here."""
     value = float(raw)
     if not math.isfinite(value):
         raise ValueError("must be finite")
@@ -69,11 +70,11 @@ def _checked(convert, ok, reason: str):
     return parse
 
 
-_positive = _checked(_finite, lambda v: v > 0, "must be positive")
-_non_negative = _checked(_finite, lambda v: v >= 0, "must be non-negative")
-_fraction = _checked(_finite, lambda v: 0 <= v <= 1, "must be in [0, 1]")
-_unit_fraction = _checked(_finite, lambda v: 0 < v <= 1, "must be in (0, 1]")
-_at_least_one = _checked(_finite, lambda v: v >= 1, "must be >= 1")
+_positive = _checked(finite, lambda v: v > 0, "must be positive")
+_non_negative = _checked(finite, lambda v: v >= 0, "must be non-negative")
+_fraction = _checked(finite, lambda v: 0 <= v <= 1, "must be in [0, 1]")
+_unit_fraction = _checked(finite, lambda v: 0 < v <= 1, "must be in (0, 1]")
+_at_least_one = _checked(finite, lambda v: v >= 1, "must be >= 1")
 _seed = _checked(int, lambda v: 0 <= v < 2**64, "must be in [0, 2**64)")
 _repetitions = _checked(int, lambda v: v >= 1, "must be >= 1")
 _atom_count = _checked(int, lambda v: v >= 0, "must be >= 0")
@@ -81,7 +82,7 @@ _multiplicity = _checked(int, lambda v: v in (1, 2), "must be 1 or 2")
 
 
 def _schedule(raw: str) -> list[float]:
-    times = [_finite(x) for x in raw.split(",") if x.strip()]
+    times = [finite(x) for x in raw.split(",") if x.strip()]
     if not times or min(times) < 0:
         raise ValueError("must be a non-empty list of non-negative times")
     return times
@@ -165,14 +166,13 @@ class ExperimentConfig:
     def trap_model(self) -> physics.TrapModel:
         return physics.TrapModel.from_beam(
             self.beam(),
-            physics.AtomParams.cesium(),
+            physics.AtomParams(),
             raman_suppression=self.trap["raman_suppression"],
             intensity_averaging_factor=self.trap["intensity_averaging_factor"],
         )
 
     def hyperfine_rates(self) -> HyperfineRates:
-        rr = physics.effective_relaxation_rates(self.trap_model())
-        return HyperfineRates(r_4to3=rr.r_4to3, r_3to4=rr.r_3to4)
+        return physics.effective_relaxation_rates(self.trap_model())
 
     def mot_rates(self) -> MotRates:
         return MotRates(
@@ -460,7 +460,7 @@ def _mot_monitor_experiment(cfg: ExperimentConfig) -> Dataset:
 
     def run(rng):
         traj = gillespie_mot(cfg.mot_rates(), cfg.atoms_per_run, cfg.schedule[0], rng)
-        return traj, synthesize_mot_trace(traj, det, overlap_windows=(), rng=rng)
+        return traj, synthesize_mot_trace(traj, det, rng)
 
     [[(traj, trace)]], counters = _repeat(cfg, [("runs", run)])
     points = [
@@ -559,28 +559,28 @@ def dataset_to_json(ds: Dataset) -> str:
     return json.dumps(rec, sort_keys=True, indent=2) + "\n"
 
 
-def export_dataset(ds: Dataset, out_dir: str, formats=("csv", "json"), basename=None) -> list[str]:
+def export_dataset(ds: Dataset, out_dir: str, formats=("csv", "json")) -> list[str]:
     """Write the dataset; returns the list of file paths written.
 
-    Output directory precedence: ATOMTRAP_OUTPUT_DIR environment variable,
-    then the out_dir argument. Writes are atomic (temp file + rename).
+    Files are named after the experiment kind. Output directory precedence:
+    ATOMTRAP_OUTPUT_DIR environment variable, then the out_dir argument.
+    Writes are atomic (temp file + rename).
     """
     out_dir = os.environ.get("ATOMTRAP_OUTPUT_DIR", out_dir)
-    basename = basename or ds.kind
     written = []
     for fmt in formats:
         if fmt == "csv":
-            path = os.path.join(out_dir, f"{basename}.csv")
+            path = os.path.join(out_dir, f"{ds.kind}.csv")
             _atomic_write(path, _points_csv(ds))
             written.append(path)
         elif fmt == "json":
-            path = os.path.join(out_dir, f"{basename}.json")
+            path = os.path.join(out_dir, f"{ds.kind}.json")
             _atomic_write(path, dataset_to_json(ds))
             written.append(path)
         else:
             raise ValueError(f"unknown export format {fmt!r}")
     for name, trace in ds.traces:
-        path = os.path.join(out_dir, f"{basename}_{name}.csv")
+        path = os.path.join(out_dir, f"{ds.kind}_{name}.csv")
         _atomic_write(path, trace.to_csv())
         written.append(path)
     return written

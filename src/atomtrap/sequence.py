@@ -487,8 +487,7 @@ def run_plan(
             if traces and dt >= det.bin_width:
                 traj = gillespie_mot(mot, n, dt, rng)
                 n = traj.final_value()
-                windows = [(0.0, dt)] if cat == "overlap" else []
-                out.append((cat, synthesize_mot_trace(traj, det, windows, rng)))
+                out.append((cat, synthesize_mot_trace(traj, det, rng, overlap=cat == "overlap")))
             elif mot_endpoint_exact:
                 n = mot_endpoint(mot, n, dt, rng)
             else:

@@ -225,17 +225,6 @@ class PiecewiseRate:
     def constant(cls, rate: float, t0: float = 0.0) -> "PiecewiseRate":
         return cls([t0], [rate])
 
-    def rate_at(self, t: float) -> float:
-        idx = np.searchsorted(self.times, t, side="right") - 1
-        return float(self.rates[max(idx, 0)])
-
-    def integral(self, a: float, b: float) -> float:
-        """Exact integral of the rate over [a, b]."""
-        if b <= a:
-            return 0.0
-        f = self.cumulative(np.array([a, b]))
-        return float(f[1] - f[0])
-
     def cumulative(self, t) -> np.ndarray:
         """Antiderivative of the rate evaluated at t (zero point arbitrary)."""
         t = np.asarray(t, dtype=float)
@@ -264,48 +253,19 @@ def synthesize_counts(
     return PhotonTrace(t0=t0, bin_width=bin_width, counts=rng.poisson(means))
 
 
-def mot_rate_profile(
-    traj: StateTrajectory,
-    det: DetectorModel,
-    overlap_windows=(),
-    mot_off_windows=(),
-) -> PiecewiseRate:
-    """Detector rate profile of a MOT atom-number trajectory.
+def synthesize_mot_trace(
+    traj: StateTrajectory, det: DetectorModel, rng: np.random.Generator, overlap: bool = False
+) -> PhotonTrace:
+    """Photon trace of MOT fluorescence for a given atom-number trajectory.
 
     rate(t) = background + N(t) * per_atom_rate, multiplied by the overlap
-    suppression while both traps are on, and replaced by the dipole-only
-    stray level while the MOT is off.
+    suppression when overlap is set: the dipole trap is on throughout and
+    its light shift pushes the atoms out of resonance.
     """
-    span = (0.0, traj.t_end)
-    for t_on, t_off in list(overlap_windows) + list(mot_off_windows):
-        if t_on < span[0] - 1e-12 or t_off > span[1] + 1e-12 or t_off <= t_on:
-            raise ValueError(f"window ({t_on}, {t_off}) outside the trajectory span {span}")
-    edges = set(traj.times.tolist())
-    for t_on, t_off in list(overlap_windows) + list(mot_off_windows):
-        edges.update((t_on, t_off))
-    edges = sorted(e for e in edges if e < traj.t_end)
-    rates = []
-    for e in edges:
-        in_off = any(t_on <= e < t_off for t_on, t_off in mot_off_windows)
-        if in_off:
-            rates.append(det.stray_when_mot_off)
-            continue
-        r = det.background_rate + traj.value_at(e) * det.per_atom_rate
-        if any(t_on <= e < t_off for t_on, t_off in overlap_windows):
-            r *= det.overlap_suppression
-        rates.append(r)
-    return PiecewiseRate(edges, rates)
-
-
-def synthesize_mot_trace(
-    traj: StateTrajectory,
-    det: DetectorModel,
-    overlap_windows,
-    rng: np.random.Generator,
-    mot_off_windows=(),
-) -> PhotonTrace:
-    """Photon trace of MOT fluorescence for a given atom-number trajectory."""
-    profile = mot_rate_profile(traj, det, overlap_windows, mot_off_windows)
+    rates = det.background_rate + traj.values * det.per_atom_rate
+    if overlap:
+        rates = rates * det.overlap_suppression
+    profile = PiecewiseRate(traj.times, rates)
     return synthesize_counts(profile, 0.0, traj.t_end, det.bin_width, rng)
 
 

@@ -122,13 +122,12 @@ def test_criterion_06_magnetic_trap_control(capsys):
 def test_criterion_07_relaxation_chain(capsys):
     t0 = time.perf_counter()
     rates = at.effective_relaxation_rates(_reference_trap())
-    lam = rates.lambda_total
+    lam = rates.total
     tau = 1.0 / lam
     ratio = 190.0 / lam
     in_union = (3.5 <= tau <= 4.9) or (2.7 <= tau <= 3.9)
     # Monte Carlo at realistic statistics: 90 atoms per point, 8 points
     # per preparation arm, joint fit of both arms.
-    hf = at.HyperfineRates(r_4to3=rates.r_4to3, r_3to4=rates.r_3to4)
     schedule = [3.0, 4.0, 4.5, 5.0, 5.5, 6.0, 8.0, 12.0]
     n_atoms, passes = 90, 0
     for rep in range(100):
@@ -137,7 +136,7 @@ def test_criterion_07_relaxation_chain(capsys):
         for f_init in (3, 4):
             pts = []
             for t in schedule:
-                p = at.analytic_occupation(f_init, hf, t)
+                p = at.analytic_occupation(f_init, rates, t)
                 pts.append((t, rng.binomial(n_atoms, p) / n_atoms, n_atoms))
             arms.append(pts)
         try:
@@ -209,7 +208,7 @@ def test_criterion_11_step_detection(capsys):
     for rep in range(1000):
         rng = at.run_stream(1111, rep)
         traj = at.gillespie_mot(rates, 0, 60.0, rng)
-        trace = at.synthesize_mot_trace(traj, det, (), rng)
+        trace = at.synthesize_mot_trace(traj, det, rng)
         seg = at.infer_atom_numbers(at.detect_steps(trace), det)
         mids = trace.t0 + (np.arange(len(trace.counts)) + 0.5) * det.bin_width
         truth = np.array([traj.value_at(t) for t in mids])

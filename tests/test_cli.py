@@ -101,7 +101,7 @@ class TestAnalyze:
                               synthesize_mot_trace)
         rng = run_stream(55, 0)
         traj = gillespie_mot(MotRates(), 2, 60.0, rng)
-        trace = synthesize_mot_trace(traj, DetectorModel(), (), rng)
+        trace = synthesize_mot_trace(traj, DetectorModel(), rng)
         path = tmp_path / "trace.csv"
         trace.write_csv(path)
         code, out, _ = run_cli(capsys, "analyze", str(path))
@@ -257,6 +257,22 @@ class TestUsageErrors:
             main(list(argv))
         assert exc.value.code == 1
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("argv, option", [
+        (("classify", "1", "--atoms", "1"), "--mean-photons"),
+        (("classify", "2", "--atoms", "2"), "--background"),
+        (("analyze", "trace.csv"), "--penalty"),
+        (("analyze", "trace.csv"), "--per-atom-rate"),
+        (("analyze", "trace.csv"), "--background-rate"),
+    ])
+    def test_non_finite_option_is_usage_error(self, argv, option, value, capsys):
+        # rejected while parsing, before the trace file is read; "=" keeps
+        # argparse from taking -inf for an option
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, f"{option}={value}"])
+        assert exc.value.code == 1
+        assert f"argument {option}: invalid finite value: '{value}'" in capsys.readouterr().err
 
     def test_console_script_installed(self):
         tomllib = pytest.importorskip("tomllib")

@@ -571,3 +571,40 @@ def test_compile_raises_iff_invalid_and_phases_cover_the_duration(data):
     else:
         plan = compile_sequence(seq)
         assert sum(ph.dt for ph in plan.phases) == pytest.approx(seq.duration, abs=1e-9)
+
+
+# Traced runs whose MOT and overlap phases span several detector bins, so
+# the digest covers the fluorescence synthesis that the exports never trace.
+_TRACED_SEQUENCES = (
+    chain(build_protocol("mot_monitor", duration_s=0.5), build_protocol("transfer", overlap_s=0.3),
+          1.0, build_protocol("recapture", overlap_s=0.3),
+          build_protocol("mot_monitor", duration_s=0.5)),
+    chain(build_protocol("prepare_f4", overlap_s=0.2, delay_s=0.15), 0.5,
+          build_protocol("detect")),
+    chain(build_protocol("prepare_f3", overlap_s=0.2, delay_s=0.15), 0.5,
+          build_protocol("detect")),
+    build_protocol("mot_monitor", duration_s=2.0),
+)
+_TRACED_BUNDLES = (
+    PhysicsBundle(),
+    PhysicsBundle(mot_rates=MotRates(loading_rate_r=5.0, one_body_loss=1.0,
+                                     two_body_pair_rate=0.5),
+                  detector=DetectorModel(bin_width=0.05, overlap_suppression=0.5,
+                                         dipole_stray_rate=2e3),
+                  loading_efficiency=0.8),
+)
+
+
+def test_traced_sequence_golden():
+    # every trace and atom count of the traced runs, as one digest
+    digest = hashlib.sha256()
+    for b, bundle in enumerate(_TRACED_BUNDLES):
+        for s, seq in enumerate(_TRACED_SEQUENCES):
+            for i in range(40):
+                rec = simulate_sequence(seq, 2, bundle, run_stream(100 + 10 * b + s, i))
+                digest.update(repr((rec.prepared_n, rec.prepared_state, rec.survivors,
+                                    rec.recaptured_n, rec.final_n)).encode())
+                for name, tr in rec.traces:
+                    digest.update(repr((name, tr.t0, tr.bin_width, tr.counts.tolist())).encode())
+    assert digest.hexdigest() == (
+        "be72d4b67f85a452c144a5ae4691238032008d3aacbf82e9dd9e6912cf9099fb")

@@ -19,26 +19,11 @@ from atomtrap import (
 from atomtrap.signals import (
     BIN_SPACING_TOLERANCE,
     bin_expected_counts,
-    mot_rate_profile,
     read_csv_table,
 )
 
 
 class TestPiecewiseRate:
-    def test_constant_integral(self):
-        r = PiecewiseRate.constant(3.0)
-        assert r.integral(0.0, 2.0) == pytest.approx(6.0)
-        assert r.integral(2.0, 2.0) == 0.0
-
-    def test_step_integral(self):
-        r = PiecewiseRate([0.0, 1.0], [2.0, 4.0])
-        assert r.integral(0.5, 1.5) == pytest.approx(0.5 * 2 + 0.5 * 4)
-
-    def test_rate_at(self):
-        r = PiecewiseRate([0.0, 1.0], [2.0, 4.0])
-        assert r.rate_at(0.5) == 2.0
-        assert r.rate_at(1.0) == 4.0
-
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
             PiecewiseRate([0.0], [-1.0])
@@ -91,7 +76,7 @@ class TestMotTrace:
     def test_background_only(self):
         det = DetectorModel()
         traj = StateTrajectory(times=[0.0], values=[0], t_end=100.0)
-        tr = synthesize_mot_trace(traj, det, (), run_stream(4, 0))
+        tr = synthesize_mot_trace(traj, det, run_stream(4, 0))
         mean = tr.counts.mean()
         expect = det.background_rate * det.bin_width
         assert abs(mean - expect) < 3 * np.sqrt(expect / len(tr.counts))
@@ -99,7 +84,7 @@ class TestMotTrace:
     def test_level_separation(self):
         det = DetectorModel()
         traj = StateTrajectory(times=[0.0, 50.0], values=[1, 2], t_end=100.0)
-        tr = synthesize_mot_trace(traj, det, (), run_stream(5, 0))
+        tr = synthesize_mot_trace(traj, det, run_stream(5, 0))
         lo = tr.counts[:500].mean()
         hi = tr.counts[500:].mean()
         sep = det.per_atom_rate * det.bin_width  # 1600 counts at defaults
@@ -108,31 +93,19 @@ class TestMotTrace:
 
     def test_overlap_suppression(self):
         det = DetectorModel()
-        traj = StateTrajectory(times=[0.0], values=[2], t_end=40.0)
-        tr = synthesize_mot_trace(traj, det, [(20.0, 40.0)], run_stream(6, 0))
+        traj = StateTrajectory(times=[0.0], values=[2], t_end=20.0)
+        plain = synthesize_mot_trace(traj, det, run_stream(6, 0))
+        overlap = synthesize_mot_trace(traj, det, run_stream(6, 1), overlap=True)
         full = det.background_rate + 2 * det.per_atom_rate
-        assert tr.counts[:200].mean() == pytest.approx(full * det.bin_width, rel=0.05)
-        assert tr.counts[200:].mean() == pytest.approx(0.3 * full * det.bin_width, rel=0.05)
-
-    def test_mot_off_drops_to_stray(self):
-        det = DetectorModel(dipole_stray_rate=2e3)
-        traj = StateTrajectory(times=[0.0], values=[2], t_end=30.0)
-        profile = mot_rate_profile(traj, det, mot_off_windows=[(10.0, 20.0)])
-        assert profile.rate_at(15.0) == 2e3
-        assert profile.rate_at(25.0) == det.background_rate + 2 * det.per_atom_rate
-
-    def test_window_outside_span_rejected(self):
-        det = DetectorModel()
-        traj = StateTrajectory(times=[0.0], values=[1], t_end=10.0)
-        with pytest.raises(ValueError):
-            synthesize_mot_trace(traj, det, [(5.0, 15.0)], run_stream(0, 0))
+        assert plain.counts.mean() == pytest.approx(full * det.bin_width, rel=0.05)
+        assert overlap.counts.mean() == pytest.approx(0.3 * full * det.bin_width, rel=0.05)
 
     def test_expected_counts_additive_in_n(self):
         det = DetectorModel()
         means = []
         for n in range(4):
             traj = StateTrajectory(times=[0.0], values=[n], t_end=200.0)
-            tr = synthesize_mot_trace(traj, det, (), run_stream(7, n))
+            tr = synthesize_mot_trace(traj, det, run_stream(7, n))
             means.append(tr.counts.mean())
         diffs = np.diff(means)
         for d in diffs:

@@ -40,7 +40,6 @@ from .signals import (
     DetectorModel,
     BurstModel,
     PhotonTrace,
-    PiecewiseRate,
     synthesize_counts,
     synthesize_mot_trace,
     synthesize_detection_burst,

@@ -137,10 +137,13 @@ def detect_steps(trace: PhotonTrace, penalty: float | None = None) -> Segmentati
     per-change-point penalty. The default penalty is 1.5*ln(n_bins), the
     change-point BIC that counts the split location alongside the new
     rate parameter; plain ln(n) admits noticeably more false positives.
+    Raises ValueError for a penalty that is negative or nan.
     """
     n = len(trace.counts)
     if penalty is None:
         penalty = 1.5 * math.log(max(n, 2))
+    elif not penalty >= 0:
+        raise ValueError("penalty must be non-negative")
     cs = np.concatenate([[0.0], np.cumsum(trace.counts, dtype=float)])
     change_points: list[int] = []
 
@@ -206,13 +209,11 @@ class BurstClassification:
         return 4 if self.map_k == 1 else 3
 
 
-def classify_burst(
-    window_counts: int, n_atoms: int, model: BurstModel, prior=None
-) -> BurstClassification:
+def classify_burst(window_counts: int, n_atoms: int, model: BurstModel) -> BurstClassification:
     """Posterior over the number of bright (F=4) atoms in a detection window.
 
     Exact Poisson likelihood with mean background + k * photons_per_atom
-    for k bright atoms; uniform prior unless one is supplied.
+    for k bright atoms, under a uniform prior.
     """
     if n_atoms < 0:
         raise ValueError("n_atoms must be non-negative")
@@ -226,17 +227,7 @@ def classify_burst(
             window_counts * np.log(np.maximum(mean, 1e-300)) - mean - gammaln(window_counts + 1),
             0.0 if window_counts == 0 else -np.inf,
         )
-    if prior is None:
-        logprior = np.zeros(n_atoms + 1)
-    else:
-        prior = np.asarray(prior, dtype=float)
-        if prior.shape != (n_atoms + 1,) or np.any(prior < 0) or prior.sum() == 0:
-            raise ValueError("prior must be a non-negative vector of length n_atoms + 1")
-        with np.errstate(divide="ignore"):
-            logprior = np.log(prior)
-    logpost = loglik + logprior
-    logpost -= logpost.max()
-    post = np.exp(logpost)
+    post = np.exp(loglik - loglik.max())
     post /= post.sum()
     return BurstClassification(n_atoms=n_atoms, posterior=post, map_k=int(np.argmax(post)))
 

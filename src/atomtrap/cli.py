@@ -20,7 +20,7 @@ from .analysis import (
     fit_relaxation_joint,
     infer_atom_numbers,
 )
-from .runner import ConfigError, export_dataset, finite, load_config, run_experiment
+from .runner import ConfigError, export_dataset, finite, load_config, non_negative, run_experiment
 from .sequence import DIPOLE_HOLD, MOT_OPERATION, sequence_from_csv, validate_sequence
 from .signals import BurstModel, DetectorModel, PhotonTrace, read_csv_table
 
@@ -51,7 +51,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("analyze", help="change-point segmentation of a photon trace CSV")
     p.add_argument("trace", help="photon trace CSV (header: bin_start_s,counts)")
-    p.add_argument("--penalty", type=finite, default=None,
+    p.add_argument("--penalty", type=non_negative, default=None,
                    help="log-likelihood penalty per change point (default 1.5*ln(n))")
     p.add_argument("--per-atom-rate", type=finite, default=1.6e4)
     p.add_argument("--background-rate", type=finite, default=5e3)

@@ -42,7 +42,8 @@ class MotRates:
     two_body_loss_multiplicity: int = 2
 
     def __post_init__(self):
-        if min(self.loading_rate_r, self.one_body_loss, self.two_body_pair_rate) < 0:
+        if not all(r >= 0 for r in (self.loading_rate_r, self.one_body_loss,
+                                    self.two_body_pair_rate)):
             raise ValueError("rates must be non-negative")
         if self.two_body_loss_multiplicity not in (1, 2):
             raise ValueError("two_body_loss_multiplicity must be 1 or 2")
@@ -56,7 +57,7 @@ class HyperfineRates:
     r_3to4: float
 
     def __post_init__(self):
-        if self.r_4to3 < 0 or self.r_3to4 < 0:
+        if not (self.r_4to3 >= 0 and self.r_3to4 >= 0):
             raise ValueError("rates must be non-negative")
 
     @property
@@ -169,21 +170,12 @@ def magnetic_trap_survival(n0: int, lifetime: float, t_hold: float, rng: np.rand
     """Survival in the quadrupole magnetic trap.
 
     Half the atoms are lost immediately (statistical spin projection onto
-    trappable states); the remainder decay with the same exponential
-    lifetime as the dipole trap.
+    trappable states); the remainder decay as in dipole_survival.
     """
-    if lifetime <= 0:
-        raise ValueError("lifetime must be positive")
-    if t_hold < 0:
-        raise ValueError("t_hold must be non-negative")
     if n0 < 0:
         raise ValueError("n0 must be non-negative")
-    if n0 == 0:
-        return 0
-    projected = int(rng.binomial(n0, 0.5))
-    if t_hold == 0 or projected == 0:
-        return projected
-    return int(rng.binomial(projected, np.exp(-t_hold / lifetime)))
+    projected = int(rng.binomial(n0, 0.5)) if n0 else 0
+    return dipole_survival(projected, lifetime, t_hold, rng)
 
 
 def hyperfine_telegraph(

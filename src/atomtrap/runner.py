@@ -70,8 +70,16 @@ def _checked(convert, ok, reason: str):
     return parse
 
 
+def non_negative(raw: str) -> float:
+    """finite, then >= 0; a def, not a _checked parser, because argparse
+    prints the type's name when a CLI option fails it."""
+    value = finite(raw)
+    if value < 0:
+        raise ValueError("must be non-negative")
+    return value
+
+
 _positive = _checked(finite, lambda v: v > 0, "must be positive")
-_non_negative = _checked(finite, lambda v: v >= 0, "must be non-negative")
 _fraction = _checked(finite, lambda v: 0 <= v <= 1, "must be in [0, 1]")
 _unit_fraction = _checked(finite, lambda v: 0 < v <= 1, "must be in (0, 1]")
 _at_least_one = _checked(finite, lambda v: v >= 1, "must be >= 1")
@@ -111,23 +119,23 @@ _SCHEMA = {
         "magnetic_lifetime_s": (51.0, _positive),
     },
     "mot": {
-        "loading_rate_per_s": (0.1, _non_negative),
-        "one_body_loss_per_s": (0.02, _non_negative),
-        "two_body_pair_rate_per_s": (0.0, _non_negative),
+        "loading_rate_per_s": (0.1, non_negative),
+        "one_body_loss_per_s": (0.02, non_negative),
+        "two_body_pair_rate_per_s": (0.0, non_negative),
         "two_body_multiplicity": (2, _multiplicity),
         "radius_m": (10e-6, _positive),
         "temperature_k": (_DOPPLER_K, _positive),
     },
     "detector": {
-        "per_atom_rate_per_s": (1.6e4, _non_negative),
-        "background_rate_per_s": (5e3, _non_negative),
+        "per_atom_rate_per_s": (1.6e4, non_negative),
+        "background_rate_per_s": (5e3, non_negative),
         "bin_width_s": (0.1, _positive),
         "overlap_suppression": (0.3, _fraction),
-        "dipole_stray_rate_per_s": (5e3, _non_negative),
+        "dipole_stray_rate_per_s": (5e3, non_negative),
     },
     "burst": {
-        "mean_photons_per_atom": (3.0, _non_negative),
-        "background_photons_per_window": (0.5, _non_negative),
+        "mean_photons_per_atom": (3.0, non_negative),
+        "background_photons_per_window": (0.5, non_negative),
         "burst_duration_s": (400e-6, _positive),
         "detection_bin_s": (200e-6, _positive),
     },
@@ -401,37 +409,33 @@ def _survival_experiment(cfg: ExperimentConfig) -> Dataset:
     return _dataset(cfg, points, counters, fits)
 
 
-def _prepare_detect_plan(cfg: ExperimentConfig, f_init: int, t_hold: float):
+def _detect_arm(cfg: ExperimentConfig, bundle: PhysicsBundle, f_init: int, t_hold: float):
+    """One prepare F=f_init -> hold t_hold -> detect run: (atoms in the trap
+    when the detection starts, the detection burst)."""
     seqp = cfg.sequence
-    return compile_sequence(chain(
+    plan = compile_sequence(chain(
         build_protocol(f"prepare_f{f_init}", overlap_s=seqp["overlap_s"], delay_s=seqp["delay_s"]),
         t_hold,
         build_protocol("detect", gap_s=seqp["gap_s"], window_s=seqp["window_s"]),
     ))
 
-
-def _burst(rec) -> PhotonTrace:
-    return next(tr for name, tr in rec.traces if name == "detect")
+    def run(rng):
+        rec = run_plan(plan, cfg.atoms_per_run, bundle, rng)
+        return rec.final_n, next(tr for name, tr in rec.traces if name == "detect")
+    return run
 
 
 def _relaxation_experiment(cfg: ExperimentConfig) -> Dataset:
     bundle = cfg.physics_bundle()
     burst = bundle.burst
-
-    def arm(f_init, t_hold):
-        plan = _prepare_detect_plan(cfg, f_init, t_hold)
-
-        def run(rng):
-            rec = run_plan(plan, cfg.atoms_per_run, bundle, rng)
-            return int(_burst(rec).counts.sum()), rec.survivors or 0
-        return run
-
     grid = [(t, f) for t in cfg.schedule for f in (3, 4)]
-    outcomes, counters = _repeat(cfg, [(f"t={t!r},f={f}", arm(f, t)) for t, f in grid])
+    outcomes, counters = _repeat(
+        cfg, [(f"t={t!r},f={f}", _detect_arm(cfg, bundle, f, t)) for t, f in grid])
     points = []
     bg = burst.background_photons_per_window * cfg.repetitions
     for (t_hold, f_init), runs in zip(grid, outcomes):
-        total_counts, total_atoms = map(sum, zip(*runs))
+        total_atoms = sum(n for n, _ in runs)
+        total_counts = sum(int(tr.counts.sum()) for _, tr in runs)
         if total_atoms and burst.mean_photons_per_atom > 0:
             p4_hat = (total_counts - bg) / (burst.mean_photons_per_atom * total_atoms)
             p4_hat = min(max(p4_hat, 0.0), 1.0)
@@ -473,16 +477,8 @@ def _detection_demo_experiment(cfg: ExperimentConfig) -> Dataset:
     """One prepare -> hold -> detect run per prepared state; the burst is
     classified here, against the atoms in the trap when the detection starts."""
     bundle = cfg.physics_bundle()
-
-    def arm(f_init):
-        plan = _prepare_detect_plan(cfg, f_init, cfg.schedule[0])
-
-        def run(rng):
-            rec = run_plan(plan, cfg.atoms_per_run, bundle, rng)
-            return rec.final_n, _burst(rec)
-        return run
-
-    outcomes, counters = _repeat(cfg, [(f"f={f}", arm(f)) for f in (3, 4)])
+    outcomes, counters = _repeat(
+        cfg, [(f"f={f}", _detect_arm(cfg, bundle, f, cfg.schedule[0])) for f in (3, 4)])
     points = []
     traces = []
     for f_init, [(n_atoms, burst_trace)] in zip((3, 4), outcomes):

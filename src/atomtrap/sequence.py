@@ -31,7 +31,6 @@ from .signals import (
     BurstModel,
     DetectorModel,
     PhotonTrace,
-    PiecewiseRate,
     read_csv_table,
     synthesize_counts,
     synthesize_detection_burst,
@@ -97,8 +96,6 @@ class Sequence:
     """Ordered switching timeline; times are relative to the sequence start."""
 
     events: list[SequenceEvent]
-    label: str = ""
-    parameters: dict = field(default_factory=dict)
     duration: float | None = None
     initial_state: dict = field(default_factory=lambda: dict(MOT_OPERATION))
 
@@ -139,11 +136,10 @@ def build_protocol(kind: str, **params) -> Sequence:
             raise ValueError(f"{name} must be positive")
         return v
 
-    def done(events, label, initial, duration, used):
+    def done(events, initial, duration):
         if params:
-            raise ValueError(f"unknown parameters for {label}: {sorted(params)}")
-        return Sequence(events, label=label, parameters=used,
-                        duration=duration, initial_state=dict(initial))
+            raise ValueError(f"unknown parameters for {kind}: {sorted(params)}")
+        return Sequence(events, duration=duration, initial_state=dict(initial))
 
     if kind == "transfer":
         ov = pop("overlap_s", 5e-3)
@@ -152,7 +148,7 @@ def build_protocol(kind: str, **params) -> Sequence:
             SequenceEvent(ov, Channel.COOLING, False),
             SequenceEvent(ov, Channel.REPUMPER, False),
         ]
-        return done(ev, "transfer", MOT_OPERATION, ov, {"overlap_s": ov})
+        return done(ev, MOT_OPERATION, ov)
     if kind == "recapture":
         ov = pop("overlap_s", 5e-3)
         ev = [
@@ -160,7 +156,7 @@ def build_protocol(kind: str, **params) -> Sequence:
             SequenceEvent(0.0, Channel.REPUMPER, True),
             SequenceEvent(ov, Channel.DIPOLE, False),
         ]
-        return done(ev, "recapture", DIPOLE_HOLD, ov, {"overlap_s": ov})
+        return done(ev, DIPOLE_HOLD, ov)
     if kind in ("prepare_f3", "prepare_f4"):
         ov = pop("overlap_s", 5e-3)
         delay = pop("delay_s", 8e-3)
@@ -174,7 +170,7 @@ def build_protocol(kind: str, **params) -> Sequence:
             SequenceEvent(ov, first, False),
             SequenceEvent(ov + delay, second, False),
         ]
-        return done(ev, kind, MOT_OPERATION, ov + delay, {"overlap_s": ov, "delay_s": delay})
+        return done(ev, MOT_OPERATION, ov + delay)
     if kind == "detect":
         gap = pop("gap_s", 50e-6)
         window = pop("window_s", 2e-3)
@@ -183,18 +179,16 @@ def build_protocol(kind: str, **params) -> Sequence:
             SequenceEvent(gap, Channel.DETECTION, True),
             SequenceEvent(gap + window, Channel.DETECTION, False),
         ]
-        return done(ev, "detect", DIPOLE_HOLD, gap + window, {"gap_s": gap, "window_s": window})
+        return done(ev, DIPOLE_HOLD, gap + window)
     if kind == "mot_monitor":
         duration = pop("duration_s", 1.0)
-        return done([], "mot_monitor", MOT_OPERATION, duration, {"duration_s": duration})
+        return done([], MOT_OPERATION, duration)
     raise ValueError(f"unknown protocol kind: {kind!r}")
 
 
 def chain(*parts) -> Sequence:
     """Concatenate sequences; bare floats insert passive delays (seconds)."""
     events: list[SequenceEvent] = []
-    labels: list[str] = []
-    parameters: dict = {}
     offset = 0.0
     initial = None
     for part in parts:
@@ -208,14 +202,10 @@ def chain(*parts) -> Sequence:
         events.extend(
             SequenceEvent(ev.time + offset, ev.channel, ev.state) for ev in part.events
         )
-        labels.append(part.label)
-        for k, v in part.parameters.items():
-            parameters[f"{part.label}.{k}"] = v
         offset += part.duration
     if initial is None:
         initial = dict(MOT_OPERATION)
-    return Sequence(events, label="+".join(labels), parameters=parameters,
-                    duration=offset, initial_state=initial)
+    return Sequence(events, duration=offset, initial_state=initial)
 
 
 POCKELS_GAP_S = 50e-6
@@ -251,7 +241,7 @@ class PhysicsBundle:
     def __post_init__(self):
         if not (0 <= self.loading_efficiency <= 1):
             raise ValueError("loading_efficiency must be in [0, 1]")
-        if self.dipole_lifetime <= 0:
+        if not self.dipole_lifetime > 0:
             raise ValueError("dipole_lifetime must be positive")
 
 
@@ -310,9 +300,8 @@ class Phase:
 
 @dataclass(frozen=True)
 class SequencePlan:
-    """A validated sequence and its phases, ready to run any number of times."""
+    """The phases of a validated sequence, ready to run any number of times."""
 
-    sequence: Sequence
     phases: tuple[Phase, ...]
 
 
@@ -432,7 +421,7 @@ def compile_sequence(seq: Sequence) -> SequencePlan:
         raise ValueError(
             "sequence is invalid: " + "; ".join(v.message for v in violations)
         )
-    return SequencePlan(seq, phases)
+    return SequencePlan(phases)
 
 
 def run_plan(
@@ -502,8 +491,8 @@ def run_plan(
                 n, n4 = dipole_survival(n, tau_dip, dt, rng), None
             survivors = n
             if traces and dt >= det.bin_width:
-                profile = PiecewiseRate.constant(det.stray_when_mot_off)
-                out.append((cat, synthesize_counts(profile, 0.0, dt, det.bin_width, rng)))
+                out.append((cat, synthesize_counts(
+                    [0.0], [det.stray_when_mot_off], dt, det.bin_width, rng)))
         elif cat == "magnetic_hold":
             n = magnetic_trap_survival(n, tau_mag, dt, rng)
             n4 = None
@@ -538,7 +527,7 @@ def sequence_to_csv(seq: Sequence) -> str:
     return buf.getvalue()
 
 
-def sequence_from_csv(text_or_path, label: str = "", initial_state=None) -> Sequence:
+def sequence_from_csv(text_or_path, initial_state=None) -> Sequence:
     events = []
     times, channels, states = read_csv_table(
         text_or_path, {"time_s": float, "channel": str, "state": str})
@@ -547,4 +536,4 @@ def sequence_from_csv(text_or_path, label: str = "", initial_state=None) -> Sequ
             raise ValueError(f"state must be 'on' or 'off', got {st!r}")
         events.append(SequenceEvent(t, Channel(ch), st == "on"))
     kwargs = {} if initial_state is None else {"initial_state": dict(initial_state)}
-    return Sequence(events, label=label, **kwargs)
+    return Sequence(events, **kwargs)

@@ -19,7 +19,6 @@ __all__ = [
     "DetectorModel",
     "BurstModel",
     "PhotonTrace",
-    "PiecewiseRate",
     "synthesize_counts",
     "synthesize_mot_trace",
     "synthesize_detection_burst",
@@ -43,13 +42,13 @@ class DetectorModel:
     dipole_stray_rate: float | None = None
 
     def __post_init__(self):
-        if self.per_atom_rate < 0 or self.background_rate < 0:
+        if not (self.per_atom_rate >= 0 and self.background_rate >= 0):
             raise ValueError("rates must be non-negative")
-        if self.bin_width <= 0:
+        if not self.bin_width > 0:
             raise ValueError("bin_width must be positive")
         if not (0 <= self.overlap_suppression <= 1):
             raise ValueError("overlap_suppression must be in [0, 1]")
-        if self.dipole_stray_rate is not None and self.dipole_stray_rate < 0:
+        if self.dipole_stray_rate is not None and not self.dipole_stray_rate >= 0:
             raise ValueError("dipole_stray_rate must be non-negative")
 
     @property
@@ -73,9 +72,9 @@ class BurstModel:
     detection_bin: float = 200e-6
 
     def __post_init__(self):
-        if min(self.mean_photons_per_atom, self.background_photons_per_window) < 0:
+        if not (self.mean_photons_per_atom >= 0 and self.background_photons_per_window >= 0):
             raise ValueError("photon numbers must be non-negative")
-        if self.burst_duration_mean <= 0 or self.detection_bin <= 0:
+        if not (self.burst_duration_mean > 0 and self.detection_bin > 0):
             raise ValueError("time scales must be positive")
 
 
@@ -100,7 +99,7 @@ def _column(fields, kind):
 def read_csv_table(text_or_path, columns: dict[str, type]) -> list:
     """The columns below the header of a CSV table, converted to their types.
 
-    text_or_path is an open file, a text holding a newline, or a file path.
+    text_or_path is a text holding a newline, or a file path.
     columns maps each header field, in order, to float, int or str; a float
     or int column comes back as a numpy array, a str column as a list.
     Raises ValueError, naming the source, when the header differs, a row
@@ -109,9 +108,7 @@ def read_csv_table(text_or_path, columns: dict[str, type]) -> list:
     the row as well.
     """
     header = list(columns)
-    if hasattr(text_or_path, "read"):
-        name, rows = getattr(text_or_path, "name", "<stream>"), list(csv.reader(text_or_path))
-    elif "\n" in str(text_or_path):
+    if "\n" in str(text_or_path):
         name, rows = "<text>", list(csv.reader(io.StringIO(str(text_or_path))))
     else:
         name = str(text_or_path)
@@ -181,10 +178,6 @@ class PhotonTrace:
         rows = "".join(f"{t},{c}\n" for t, c in zip(starts, self.counts.tolist()))
         return "bin_start_s,counts\n" + rows
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(self.to_csv())
-
     @classmethod
     def from_csv(cls, text_or_path) -> "PhotonTrace":
         """Read a trace written by to_csv; the bin width is the bin spacing.
@@ -208,49 +201,32 @@ class PhotonTrace:
         return cls(t0=float(starts[0]), bin_width=width, counts=counts)
 
 
-class PiecewiseRate:
-    """Piecewise-constant rate: rates[i] applies on [times[i], times[i+1])."""
-
-    def __init__(self, times, rates):
-        self.times = np.asarray(times, dtype=float)
-        self.rates = np.asarray(rates, dtype=float)
-        if len(self.times) != len(self.rates) or len(self.times) == 0:
-            raise ValueError("times and rates must be non-empty and equal length")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must be strictly increasing")
-        if np.any(self.rates < 0):
-            raise ValueError("rates must be non-negative")
-
-    @classmethod
-    def constant(cls, rate: float, t0: float = 0.0) -> "PiecewiseRate":
-        return cls([t0], [rate])
-
-    def cumulative(self, t) -> np.ndarray:
-        """Antiderivative of the rate evaluated at t (zero point arbitrary)."""
-        t = np.asarray(t, dtype=float)
-        idx = np.clip(np.searchsorted(self.times, t, side="right") - 1, 0, None)
-        cum = np.concatenate([[0.0], np.cumsum(self.rates[:-1] * np.diff(self.times))])
-        return cum[idx] + self.rates[idx] * (t - self.times[idx])
-
-
-def bin_expected_counts(rate: PiecewiseRate, t0: float, t1: float, bin_width: float) -> np.ndarray:
-    """Expected counts per bin over [t0, t1); a trailing partial bin is dropped."""
-    if t1 <= t0:
-        raise ValueError("t1 must exceed t0")
-    n_bins = int(np.floor((t1 - t0) / bin_width + 1e-9))
+def bin_expected_counts(times, rates, t_end: float, bin_width: float) -> np.ndarray:
+    """Expected counts per bin over [0, t_end) of the piecewise-constant rate
+    that is rates[i] from times[i] until times[i+1] (and rates[0] before
+    times[0]); a trailing partial bin is dropped."""
+    if t_end <= 0:
+        raise ValueError("t_end must be positive")
+    n_bins = int(np.floor(t_end / bin_width + 1e-9))
     if n_bins < 1:
         raise ValueError("interval shorter than one bin")
-    edges = t0 + bin_width * np.arange(n_bins + 1)
-    f = rate.cumulative(edges)
-    return np.diff(f)
+    times, rates = np.asarray(times, dtype=float), np.asarray(rates, dtype=float)
+    if not 0 < len(times) == len(rates) or np.any(np.diff(times) <= 0) or not np.all(rates >= 0):
+        raise ValueError("rates must be non-negative, one per strictly increasing time")
+    edges = bin_width * np.arange(n_bins + 1)
+    # the exact integral of the rate from 0 to each edge
+    idx = np.clip(np.searchsorted(times, edges, side="right") - 1, 0, None)
+    cum = np.concatenate([[0.0], np.cumsum(rates[:-1] * np.diff(times))])
+    return np.diff(cum[idx] + rates[idx] * (edges - times[idx]))
 
 
 def synthesize_counts(
-    rate: PiecewiseRate, t0: float, t1: float, bin_width: float, rng: np.random.Generator
+    times, rates, t_end: float, bin_width: float, rng: np.random.Generator
 ) -> PhotonTrace:
-    """Poisson counts per bin with means given by the exact rate integral."""
-    means = bin_expected_counts(rate, t0, t1, bin_width)
-    return PhotonTrace(t0=t0, bin_width=bin_width, counts=rng.poisson(means))
+    """Poisson counts per bin with means given by the exact rate integral
+    (see bin_expected_counts); raises ValueError for a negative rate."""
+    means = bin_expected_counts(times, rates, t_end, bin_width)
+    return PhotonTrace(t0=0.0, bin_width=bin_width, counts=rng.poisson(means))
 
 
 def synthesize_mot_trace(
@@ -265,8 +241,7 @@ def synthesize_mot_trace(
     rates = det.background_rate + traj.values * det.per_atom_rate
     if overlap:
         rates = rates * det.overlap_suppression
-    profile = PiecewiseRate(traj.times, rates)
-    return synthesize_counts(profile, 0.0, traj.t_end, det.bin_width, rng)
+    return synthesize_counts(traj.times, rates, traj.t_end, det.bin_width, rng)
 
 
 def synthesize_detection_burst(

@@ -80,6 +80,13 @@ class TestDetectSteps:
         assert detect_steps(tr, penalty=0.01).change_points
         assert not detect_steps(tr).change_points
 
+    @pytest.mark.parametrize("penalty", [-1.0, -1e-12, float("nan")])
+    def test_negative_or_nan_penalty_rejected(self, penalty):
+        # a negative penalty accepts splits that lose likelihood: [1, 2, 3, 2]
+        # would split at every bin; nan would accept every split
+        with pytest.raises(ValueError, match="penalty"):
+            detect_steps(PhotonTrace(t0=0.0, bin_width=0.1, counts=[1, 2, 3, 2]), penalty=penalty)
+
 
 class TestInferAtomNumbers:
     def seg_for_levels(self, levels):
@@ -151,11 +158,6 @@ class TestClassifyBurst:
         cl = classify_burst(3, 0, BurstModel())
         assert cl.map_k == 0
         assert cl.posterior.shape == (1,)
-
-    def test_custom_prior(self):
-        model = BurstModel()
-        cl = classify_burst(2, 1, model, prior=[0.999, 0.001])
-        assert cl.map_k == 0  # strong prior overrides the likelihood
 
     def test_map_state_multi_atom_raises(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import atomtrap
-from atomtrap import build_protocol, chain, sequence_to_csv
+from atomtrap import FitResult, build_protocol, chain, fit_relaxation, sequence_to_csv
 from atomtrap.cli import main
 
 LIFETIME_INI = "[experiment]\nkind = lifetime\nrepetitions = 5\n"
@@ -103,7 +103,7 @@ class TestAnalyze:
         traj = gillespie_mot(MotRates(), 2, 60.0, rng)
         trace = synthesize_mot_trace(traj, DetectorModel(), rng)
         path = tmp_path / "trace.csv"
-        trace.write_csv(path)
+        path.write_text(trace.to_csv())
         code, out, _ = run_cli(capsys, "analyze", str(path))
         assert code == 0
         rec = json.loads(out)
@@ -157,6 +157,28 @@ class TestFit:
         code, _, err = run_cli(capsys, "fit", str(path), "--model", "relaxation")
         assert code == 2
         assert "f-initial" in err
+
+    def test_relaxation_single_arm_matches_fit_relaxation(self, tmp_path, capsys):
+        points = [(1.0, 0.21, 90), (2.0, 0.33, 90), (4.0, 0.46, 90), (8.0, 0.55, 90)]
+        path = tmp_path / "f3.csv"
+        path.write_text("t_s,p4,n\n" + "".join(f"{t!r},{p!r},{n}\n" for t, p, n in points))
+        code, out, _ = run_cli(capsys, "fit", str(path), "--model", "relaxation",
+                               "--f-initial", "3")
+        assert code == 0
+        assert out == fit_relaxation(points, f_initial=3).to_json() + "\n"
+
+    def test_bootstrap_errors_in_output_round_trip(self, tmp_path, capsys):
+        path = tmp_path / "surv.csv"
+        path.write_text("t_s,survived,total\n1,390,400\n20,260,400\n60,120,400\n")
+        code, out, _ = run_cli(capsys, "fit", str(path), "--model", "survival",
+                               "--bootstrap", "20")
+        assert code == 0
+        rec = json.loads(out)
+        assert len(rec["bootstrap_errors"]) == len(rec["parameter_names"]) == 1
+        assert rec["bootstrap_errors"][0] > 0
+        fit = FitResult.from_json(out)
+        assert fit.bootstrap_errors == {"tau": rec["bootstrap_errors"][0]}
+        assert fit.to_json() + "\n" == out
 
     def test_relaxation_joint(self, tmp_path, capsys):
         import numpy as np
@@ -234,6 +256,35 @@ class TestValidateSeq:
         assert f"{path}: row 3, column time_s: 'nan' is not a finite number" in err
 
 
+def _out_argv(subcommand, tmp_path):
+    """Arguments of a successful run of subcommand on input files made in tmp_path."""
+    if subcommand == "analyze":
+        path = tmp_path / "trace.csv"
+        path.write_text("bin_start_s,counts\n0,500\n0.1,520\n0.2,2100\n0.3,2080\n")
+        return ["analyze", str(path)]
+    if subcommand == "classify":
+        return ["classify", "4", "--atoms", "2"]
+    if subcommand == "fit":
+        path = tmp_path / "surv.csv"
+        path.write_text("t_s,survived,total\n1,390,400\n20,260,400\n60,120,400\n")
+        return ["fit", str(path), "--model", "survival"]
+    path = tmp_path / "seq.csv"
+    path.write_text(sequence_to_csv(chain(build_protocol("prepare_f3"), 1.0,
+                                          build_protocol("detect"))))
+    return ["validate-seq", str(path)]
+
+
+@pytest.mark.parametrize("subcommand", ["analyze", "classify", "fit", "validate-seq"])
+def test_out_file_holds_the_standard_output_bytes(subcommand, tmp_path, capsys):
+    argv = _out_argv(subcommand, tmp_path)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out
+    target = tmp_path / "out.json"
+    code, quiet, _ = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 0 and quiet == ""
+    assert target.read_bytes() == out.encode()
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -272,7 +323,14 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main([*argv, f"{option}={value}"])
         assert exc.value.code == 1
-        assert f"argument {option}: invalid finite value: '{value}'" in capsys.readouterr().err
+        parser = "non_negative" if option == "--penalty" else "finite"
+        assert f"argument {option}: invalid {parser} value: '{value}'" in capsys.readouterr().err
+
+    def test_negative_penalty_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "trace.csv", "--penalty=-1"])
+        assert exc.value.code == 1
+        assert "argument --penalty: invalid non_negative value: '-1'" in capsys.readouterr().err
 
     def test_console_script_installed(self):
         tomllib = pytest.importorskip("tomllib")

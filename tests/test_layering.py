@@ -1,6 +1,8 @@
-"""The simulation layers do not depend on recovery, orchestration or the CLI."""
+"""The simulation layers do not depend on recovery, orchestration or the CLI,
+and the package re-exports exactly each module's public names."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -44,3 +46,19 @@ def test_scan_sees_every_import_form():
 def test_simulation_layer_imports_nothing_above_it(module):
     source = (PACKAGE / f"{module}.py").read_text()
     assert not _imported_modules(source) & ABOVE
+
+
+def _reexports() -> dict[str, set[str]]:
+    """Names atomtrap/__init__.py imports, keyed by the sibling module they come from."""
+    found: dict[str, set[str]] = {}
+    for node in ast.parse((PACKAGE / "__init__.py").read_text()).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            found.setdefault(node.module, set()).update(a.name for a in node.names)
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(_reexports()))
+def test_package_reexports_exactly_the_module_all(module):
+    names = importlib.import_module(f"atomtrap.{module}").__all__
+    assert len(set(names)) == len(names)
+    assert _reexports()[module] == set(names)

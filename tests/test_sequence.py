@@ -12,6 +12,7 @@ from atomtrap import (
     BurstModel,
     Channel,
     DetectorModel,
+    HyperfineRates,
     MotRates,
     PhysicsBundle,
     Sequence,
@@ -23,6 +24,7 @@ from atomtrap import (
     detect_steps,
     dipole_survival,
     gillespie_mot,
+    magnetic_trap_survival,
     run_plan,
     run_stream,
     sequence_from_csv,
@@ -30,7 +32,7 @@ from atomtrap import (
     simulate_sequence,
     validate_sequence,
 )
-from atomtrap.sequence import HOLD_GRACE_S
+from atomtrap.sequence import HOLD_GRACE_S, MIXED_STATE_P4
 from two_sample import chi2_two_sample
 
 
@@ -476,6 +478,82 @@ class TestRunPlan:
         with pytest.raises(ValueError):
             run_plan(plan, -1, PhysicsBundle(), run_stream(0, 0))
 
+    # Branches that no experiment kind takes, each against its law. With no
+    # burst background a window holds Poisson(mean_photons_per_atom * n4)
+    # counts, n4 being the atoms in F=4 when the detection starts.
+    RUNS = 4000
+
+    def window_counts(self, plan, n0, physics, seed):
+        counts = []
+        for i in range(self.RUNS):
+            rec = run_plan(plan, n0, physics, run_stream(seed, i))
+            counts.append(int(next(tr for name, tr in rec.traces if name == "detect").counts.sum()))
+        return counts
+
+    def burst_law(self, n0, p4, seed):
+        rng = run_stream(seed, 0)
+        return rng.poisson(BurstModel().mean_photons_per_atom
+                           * rng.binomial(n0, p4, size=self.RUNS)).tolist()
+
+    def test_magnetic_hold_survival_law(self):
+        seq = Sequence([SequenceEvent(0.0, Channel.B_FIELD, True),
+                        SequenceEvent(0.0, Channel.COOLING, False),
+                        SequenceEvent(0.0, Channel.REPUMPER, False)], duration=30.0)
+        plan = compile_sequence(seq)
+        assert [ph.category for ph in plan.phases] == ["magnetic_hold"]
+        physics = PhysicsBundle(magnetic_lifetime=40.0)
+        held = [run_plan(plan, 6, physics, run_stream(35, i)).survivors
+                for i in range(self.RUNS)]
+        direct = [magnetic_trap_survival(6, 40.0, 30.0, run_stream(36, i))
+                  for i in range(self.RUNS)]
+        # spin projection onto the trappable half, then exponential decay
+        law = run_stream(37, 0).binomial(6, 0.5 * np.exp(-30.0 / 40.0), size=self.RUNS)
+        assert chi2_two_sample(held, direct) > 1e-3
+        assert chi2_two_sample(held, law.tolist()) > 1e-3
+
+    def test_mixed_transfer_read_by_a_detection(self):
+        # both MOT lasers go off together: each atom is in F=4 with probability
+        # MIXED_STATE_P4, then survives and relaxes independently in the hold
+        plan = compile_sequence(chain(build_protocol("transfer"), 0.5, build_protocol("detect")))
+        hold = plan.phases[1]
+        assert (hold.category, hold.transfer, hold.prepared_state, hold.tracks_f) == (
+            "hold", True, "mixed", True)
+        physics = PhysicsBundle(mot_rates=MotRates(loading_rate_r=0.0, one_body_loss=0.0),
+                                burst=BurstModel(background_photons_per_window=0.0),
+                                dipole_lifetime=5.0)
+        p4 = (MIXED_STATE_P4 * analytic_occupation(4, physics.hyperfine, 0.5)
+              + (1 - MIXED_STATE_P4) * analytic_occupation(3, physics.hyperfine, 0.5))
+        counts = self.window_counts(plan, 5, physics, 38)
+        assert chi2_two_sample(counts, self.burst_law(5, np.exp(-0.5 / 5.0) * p4, 39)) > 1e-3
+
+    def test_detection_without_preparation_reads_mixed_atoms(self):
+        plan = compile_sequence(build_protocol("detect"))
+        assert [(ph.category, ph.prepared_state) for ph in plan.phases] == [
+            ("gap", None), ("detect", None)]
+        physics = PhysicsBundle(burst=BurstModel(background_photons_per_window=0.0))
+        counts = self.window_counts(plan, 4, physics, 40)
+        assert chi2_two_sample(counts, self.burst_law(4, MIXED_STATE_P4, 41)) > 1e-3
+
+
+_NAN_FIELDS = [
+    (MotRates, "loading_rate_r"), (MotRates, "one_body_loss"), (MotRates, "two_body_pair_rate"),
+    (HyperfineRates, "r_4to3"), (HyperfineRates, "r_3to4"),
+    (DetectorModel, "per_atom_rate"), (DetectorModel, "background_rate"),
+    (DetectorModel, "bin_width"), (DetectorModel, "dipole_stray_rate"),
+    (BurstModel, "mean_photons_per_atom"), (BurstModel, "background_photons_per_window"),
+    (BurstModel, "burst_duration_mean"), (BurstModel, "detection_bin"),
+    (PhysicsBundle, "dipole_lifetime"),
+]
+
+
+@pytest.mark.parametrize("model, name", _NAN_FIELDS,
+                         ids=[f"{m.__name__}.{n}" for m, n in _NAN_FIELDS])
+def test_nan_model_parameter_rejected(model, name):
+    # nan fails no "x < 0" test, so each check must be one that nan fails
+    rates = {"r_4to3": 0.1, "r_3to4": 0.1} if model is HyperfineRates else {}
+    with pytest.raises(ValueError):
+        model(**{**rates, name: float("nan")})
+
 
 def _old_transfer_hold_recapture(n0, physics, t_hold, overlap, rng):
     """Reference: the transfer -> hold -> recapture counts driven by the public
@@ -533,13 +611,12 @@ def _timeline(pick) -> Sequence:
     times = sorted({0.0, seq.duration, *(ev.time for ev in seq.events)})
     toggles = [SequenceEvent(pick(times), pick(tuple(Channel)), pick((False, True)))
                for _ in range(pick((0, 0, 1, 2)))]
-    return Sequence(seq.events + toggles, label=seq.label, parameters=seq.parameters,
-                    duration=seq.duration, initial_state=initial)
+    return Sequence(seq.events + toggles, duration=seq.duration, initial_state=initial)
 
 
 def _outcome(seq: Sequence) -> str:
     try:
-        plan = repr(compile_sequence(seq))
+        plan = repr(compile_sequence(seq).phases)
     except ValueError as exc:
         plan = repr(exc)
     return repr(validate_sequence(seq)) + "\n" + plan + "\n"
@@ -557,7 +634,7 @@ def test_timeline_corpus_golden():
         digest.update(_outcome(seq).encode())
     assert valid == 529
     assert digest.hexdigest() == (
-        "06e9c739586888be9126f221ec7d86f7d261740400324b336661b5b648a81399")
+        "af3e8870d1b957d666ee68ab593131b654466f68207105d4d204ae2493fc596e")
 
 
 @given(st.data())

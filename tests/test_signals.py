@@ -9,7 +9,6 @@ from atomtrap import (
     BurstModel,
     DetectorModel,
     PhotonTrace,
-    PiecewiseRate,
     StateTrajectory,
     run_stream,
     synthesize_counts,
@@ -23,37 +22,42 @@ from atomtrap.signals import (
 )
 
 
-class TestPiecewiseRate:
-    def test_negative_rate_rejected(self):
-        with pytest.raises(ValueError):
-            PiecewiseRate([0.0], [-1.0])
-
-
 class TestBinExpectedCounts:
     def test_mid_bin_step_exact(self):
         # a rate change inside a bin contributes its exact time-weighted mean
-        r = PiecewiseRate([0.0, 0.25], [10.0, 30.0])
-        means = bin_expected_counts(r, 0.0, 1.0, 0.5)
+        means = bin_expected_counts([0.0, 0.25], [10.0, 30.0], 1.0, 0.5)
         assert means[0] == pytest.approx(0.25 * 10 + 0.25 * 30)
         assert means[1] == pytest.approx(0.5 * 30)
 
     def test_partial_bin_dropped(self):
-        r = PiecewiseRate.constant(1.0)
-        assert len(bin_expected_counts(r, 0.0, 0.55, 0.1)) == 5
+        assert len(bin_expected_counts([0.0], [1.0], 0.55, 0.1)) == 5
 
     def test_too_short(self):
         with pytest.raises(ValueError):
-            bin_expected_counts(PiecewiseRate.constant(1.0), 0.0, 0.05, 0.1)
+            bin_expected_counts([0.0], [1.0], 0.05, 0.1)
+
+    @pytest.mark.parametrize("times, rates", [
+        ([], []), ([0.0, 1.0], [1.0]), ([0.0, 0.5, 0.5], [1.0, 2.0, 3.0]),
+        ([0.0, 0.5], [1.0, float("nan")]),
+    ])
+    def test_malformed_profile_rejected(self, times, rates):
+        with pytest.raises(ValueError):
+            bin_expected_counts(times, rates, 1.0, 0.1)
 
 
 class TestSynthesizeCounts:
+    def test_negative_rate_rejected(self):
+        # a negative stretch inside one bin would still leave a positive mean
+        with pytest.raises(ValueError):
+            synthesize_counts([0.0, 0.01], [5.0, -1.0], 1.0, 0.1, run_stream(0, 0))
+
     def test_zero_rate(self):
-        tr = synthesize_counts(PiecewiseRate.constant(0.0), 0.0, 10.0, 0.1, run_stream(0, 0))
+        tr = synthesize_counts([0.0], [0.0], 10.0, 0.1, run_stream(0, 0))
         assert np.all(tr.counts == 0)
 
     def test_poisson_moments(self):
         lam, width = 5000.0, 0.1
-        tr = synthesize_counts(PiecewiseRate.constant(lam), 0.0, 1000.0, width, run_stream(1, 0))
+        tr = synthesize_counts([0.0], [lam], 1000.0, width, run_stream(1, 0))
         mean = tr.counts.mean()
         se = np.sqrt(lam * width / len(tr.counts))
         assert abs(mean - lam * width) < 3 * se
@@ -61,14 +65,13 @@ class TestSynthesizeCounts:
     def test_dispersion_index(self):
         # Poisson check: index of dispersion within [0.9, 1.1] over >= 1e4 bins
         lam, width = 2000.0, 0.1
-        tr = synthesize_counts(PiecewiseRate.constant(lam), 0.0, 1500.0, width, run_stream(2, 0))
+        tr = synthesize_counts([0.0], [lam], 1500.0, width, run_stream(2, 0))
         disp = tr.counts.var(ddof=1) / tr.counts.mean()
         assert 0.9 <= disp <= 1.1
 
     def test_byte_identical(self):
-        r = PiecewiseRate([0.0, 3.3], [1000.0, 2000.0])
-        a = synthesize_counts(r, 0.0, 10.0, 0.1, run_stream(3, 9))
-        b = synthesize_counts(r, 0.0, 10.0, 0.1, run_stream(3, 9))
+        a = synthesize_counts([0.0, 3.3], [1000.0, 2000.0], 10.0, 0.1, run_stream(3, 9))
+        b = synthesize_counts([0.0, 3.3], [1000.0, 2000.0], 10.0, 0.1, run_stream(3, 9))
         assert a.to_csv() == b.to_csv()
 
 
@@ -242,7 +245,7 @@ class TestPhotonTraceCsv:
     def test_file_round_trip(self, tmp_path):
         tr = PhotonTrace(t0=0.0, bin_width=0.2, counts=[4, 2])
         path = tmp_path / "trace.csv"
-        tr.write_csv(path)
+        path.write_text(tr.to_csv())
         back = PhotonTrace.from_csv(str(path))
         assert np.array_equal(back.counts, tr.counts)
 

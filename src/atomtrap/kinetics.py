@@ -203,6 +203,20 @@ def hyperfine_telegraph(
     return StateTrajectory(np.array(times), np.array(values), t_end=t)
 
 
+def _occupations(rates: HyperfineRates, t):
+    """P(F=4 at time t) of the telegraph process from F=4 and from F=3.
+
+    P4(t) = P4_eq + (P4(0) - P4_eq) exp(-(r43 + r34) t), one exp for both
+    initial states; with both rates zero, the initial occupations.
+    """
+    total = rates.total
+    if total == 0:
+        return np.ones_like(t), np.zeros_like(t)
+    p_eq = rates.r_3to4 / total
+    decay = np.exp(-total * t)
+    return p_eq + (1.0 - p_eq) * decay, p_eq + (0.0 - p_eq) * decay
+
+
 def analytic_occupation(f_initial: int, rates: HyperfineRates, t) -> float:
     """Closed-form P(F=4 at time t) of the telegraph process.
 
@@ -214,12 +228,7 @@ def analytic_occupation(f_initial: int, rates: HyperfineRates, t) -> float:
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("t must be non-negative")
-    p0 = 1.0 if f_initial == 4 else 0.0
-    if rates.total == 0:
-        out = np.full_like(t, p0)
-        return float(out) if out.ndim == 0 else out
-    p_eq = rates.p4_equilibrium
-    out = p_eq + (p0 - p_eq) * np.exp(-rates.total * t)
+    out = _occupations(rates, t)[0 if f_initial == 4 else 1]
     return float(out) if out.ndim == 0 else out
 
 
@@ -265,5 +274,4 @@ def hyperfine_endpoint(
         raise ValueError("t must be non-negative")
     if t == 0 or n_f4 + n_f3 == 0:
         return int(n_f4)
-    p4 = (analytic_occupation(4, rates, t), analytic_occupation(3, rates, t))
-    return int(rng.binomial((n_f4, n_f3), p4).sum())
+    return int(rng.binomial((n_f4, n_f3), _occupations(rates, t)).sum())

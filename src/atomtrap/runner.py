@@ -347,16 +347,18 @@ def _repeat(cfg: ExperimentConfig, arms) -> tuple[list[list], dict[str, list[int
 
     The one place where the runner draws a random stream, for every kind.
     arms: (run_counters key, run) pairs in schedule order, where run(rng)
-    returns the outcome of one run. Run counters are consecutive across the
-    arms. Returns each arm's list of outcomes, in run order, and the counters.
+    returns the outcome of one run and keeps no reference to rng, which the
+    next run rewinds. Run counters are consecutive across the arms. Returns
+    each arm's list of outcomes, in run order, and the counters.
     """
     outcomes = []
     counters: dict[str, list[int]] = {}
     counter = 0
+    run_streams = streams.RunStreams(cfg.master_seed)
     for key, run in arms:
         used = range(counter, counter + cfg.repetitions)
         counter += cfg.repetitions
-        outcomes.append([run(streams.run_stream(cfg.master_seed, i)) for i in used])
+        outcomes.append([run(run_streams.at(i)) for i in used])
         counters[key] = list(used)
     return outcomes, counters
 

@@ -235,7 +235,7 @@ class PhysicsBundle:
     detector: DetectorModel = field(default_factory=DetectorModel)
     burst: BurstModel = field(default_factory=BurstModel)
     dipole_lifetime: float = 51.0
-    magnetic_lifetime: float | None = None  # None: same as the dipole trap
+    magnetic_lifetime: float = 51.0
     loading_efficiency: float = 1.0  # per-atom transfer success probability
 
     def __post_init__(self):
@@ -243,6 +243,8 @@ class PhysicsBundle:
             raise ValueError("loading_efficiency must be in [0, 1]")
         if not self.dipole_lifetime > 0:
             raise ValueError("dipole_lifetime must be positive")
+        if not self.magnetic_lifetime > 0:
+            raise ValueError("magnetic_lifetime must be positive")
 
 
 @dataclass
@@ -449,7 +451,6 @@ def run_plan(
     mot = physics.mot_rates
     mot_endpoint_exact = mot.two_body_pair_rate == 0.0
     tau_dip = physics.dipole_lifetime
-    tau_mag = physics.magnetic_lifetime or tau_dip
 
     n = int(initial_n)
     n4: int | None = None  # atoms in F=4 while the hyperfine state is tracked
@@ -494,7 +495,7 @@ def run_plan(
                 out.append((cat, synthesize_counts(
                     [0.0], [det.stray_when_mot_off], dt, det.bin_width, rng)))
         elif cat == "magnetic_hold":
-            n = magnetic_trap_survival(n, tau_mag, dt, rng)
+            n = magnetic_trap_survival(n, physics.magnetic_lifetime, dt, rng)
             n4 = None
             survivors = n
         elif cat == "detect":

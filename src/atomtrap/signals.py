@@ -277,5 +277,5 @@ def synthesize_detection_burst(
     if arrivals:
         times = np.concatenate(arrivals)
         idx = np.minimum((times / model.detection_bin).astype(int), n_bins - 1)
-        np.add.at(counts, idx, 1)
+        counts = np.bincount(idx, minlength=n_bins)
     return PhotonTrace(t0=0.0, bin_width=model.detection_bin, counts=counts)

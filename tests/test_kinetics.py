@@ -258,6 +258,26 @@ ENDPOINT_SAMPLES = 4000
 FAST_MOT = MotRates(loading_rate_r=1200.0, one_body_loss=240.0)
 
 
+def _reference_occupation(f_initial, rates, t) -> float:
+    """P(F=4 at t) as analytic_occupation computed it, written out as the reference."""
+    p0 = 1.0 if f_initial == 4 else 0.0
+    if rates.total == 0:
+        return p0
+    p_eq = rates.p4_equilibrium
+    return float(p_eq + (p0 - p_eq) * np.exp(-rates.total * np.asarray(t, dtype=float)))
+
+
+class _BinomialSpy:
+    """Generator stand-in that records the probabilities of each binomial draw."""
+
+    def __init__(self, rng):
+        self.rng, self.p = rng, []
+
+    def binomial(self, n, p):
+        self.p.append(tuple(float(x) for x in p))
+        return self.rng.binomial(n, p)
+
+
 class TestHyperfineEndpoint:
     @pytest.mark.parametrize("f0", [3, 4])
     @pytest.mark.parametrize("t", [0.1, 3.0, 12.0])
@@ -282,6 +302,26 @@ class TestHyperfineEndpoint:
         assert hyperfine_endpoint(2, 3, REF_HF, 0.0, rng) == 2
         assert hyperfine_endpoint(0, 0, REF_HF, 5.0, rng) == 0
         assert rng.random() == run_stream(43, 0).random()
+
+    @pytest.mark.parametrize("rates", [REF_HF, HyperfineRates(0.3, 0.0), HyperfineRates(0.0, 0.2),
+                                       HyperfineRates(5.0, 1e-3), HyperfineRates(0.0, 0.0)])
+    def test_draws_equal_two_occupation_reference(self, rates):
+        cases = [(n4, n3, t) for n4, n3 in [(0, 0), (1, 0), (0, 1), (3, 2), (40, 50)]
+                 for t in (0.0, 1e-3, 0.7, 3.0, 40.0)]
+        for i, (n4, n3, t) in enumerate(cases):
+            spy = _BinomialSpy(run_stream(47, i))
+            reference = run_stream(47, i)
+            if t == 0 or n4 + n3 == 0:
+                expected, p = n4, None
+            else:
+                p = (_reference_occupation(4, rates, t), _reference_occupation(3, rates, t))
+                expected = int(reference.binomial((n4, n3), p).sum())
+            assert hyperfine_endpoint(n4, n3, rates, t, spy) == expected
+            # bit-identical probabilities, not merely equal draws
+            assert spy.p == ([] if p is None else [p])
+            assert spy.rng.random() == reference.random()
+            for f in (3, 4):
+                assert analytic_occupation(f, rates, t) == _reference_occupation(f, rates, t)
 
     def test_invalid(self):
         with pytest.raises(ValueError):

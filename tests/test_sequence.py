@@ -555,6 +555,13 @@ def test_nan_model_parameter_rejected(model, name):
         model(**{**rates, name: float("nan")})
 
 
+@pytest.mark.parametrize("tau", [0.0, -1.0, float("nan")])
+def test_non_positive_magnetic_lifetime_rejected(tau):
+    # a zero lifetime must not fall back to the dipole lifetime
+    with pytest.raises(ValueError, match="magnetic_lifetime"):
+        PhysicsBundle(magnetic_lifetime=tau)
+
+
 def _old_transfer_hold_recapture(n0, physics, t_hold, overlap, rng):
     """Reference: the transfer -> hold -> recapture counts driven by the public
     path simulators, as the interpreter computed them before endpoint laws."""

@@ -107,27 +107,18 @@ class FitResult:
 # change-point detection
 # ---------------------------------------------------------------------------
 
-def _best_split(cs: np.ndarray, lo: int, hi: int):
-    """Best single split of bins [lo, hi): (log-likelihood gain, split index).
-
-    cs holds the prefix sums of the counts with a leading 0, so bins
-    [a, b) hold cs[b] - cs[a] counts. A segment's Poisson log-likelihood at
-    its rate MLE is total * ln(total / n) - total, without factorial terms.
-    """
-    n = hi - lo
-    if n < 2:
-        return -np.inf, None
-    total = cs[hi] - cs[lo]
-    i = np.arange(1, n)
-    left = cs[lo + 1:hi] - cs[lo]
-    right = total - left
+def _poisson_ll(total: np.ndarray, bins: np.ndarray, out: np.ndarray, empty: np.ndarray):
+    """total * ln(total / bins) - total into out, and 0 where total is 0:
+    the Poisson log-likelihood of a segment at its rate MLE, without
+    factorial terms. empty is a bool work buffer of the same size."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        ll_left = np.where(left > 0, left * np.log(left / i) - left, 0.0)
-        ll_right = np.where(right > 0, right * np.log(right / (n - i)) - right, 0.0)
-    whole = total * math.log(total / n) - total if total > 0 else 0.0
-    gains = ll_left + ll_right - whole
-    k = int(np.argmax(gains))
-    return float(gains[k]), lo + k + 1
+        np.divide(total, bins, out=out)
+        np.log(out, out=out)
+        out *= total
+    out -= total
+    np.less_equal(total, 0, out=empty)
+    out[empty] = 0.0
+    return out
 
 
 def detect_steps(trace: PhotonTrace, penalty: float | None = None) -> Segmentation:
@@ -138,33 +129,65 @@ def detect_steps(trace: PhotonTrace, penalty: float | None = None) -> Segmentati
     change-point BIC that counts the split location alongside the new
     rate parameter; plain ln(n) admits noticeably more false positives.
     Raises ValueError for a penalty that is negative or nan.
+
+    The search runs one tree depth at a time. The candidate splits of every
+    open segment lie end to end in work buffers of n_bins - 1 entries, one
+    pass computes all their gains, and each segment takes its first best
+    split, as np.argmax over the segment alone would.
     """
     n = len(trace.counts)
     if penalty is None:
         penalty = 1.5 * math.log(max(n, 2))
     elif not penalty >= 0:
         raise ValueError("penalty must be non-negative")
+    # prefix sums with a leading 0: bins [a, b) hold cs[b] - cs[a] counts
     cs = np.concatenate([[0.0], np.cumsum(trace.counts, dtype=float)])
     change_points: list[int] = []
-
-    def recurse(lo: int, hi: int) -> None:
-        gain, cp = _best_split(cs, lo, hi)
-        if cp is None or gain <= penalty:
-            return
-        recurse(lo, cp)
-        change_points.append(cp)
-        recurse(cp, hi)
-
-    if n >= 2:
-        recurse(0, n)
+    m = max(n - 1, 0)
+    gain_buf, left_buf, right_buf = np.empty(m), np.empty(m), np.empty(m)
+    split_buf, bins_buf = np.empty(m, dtype=np.int64), np.empty(m, dtype=np.int64)
+    mask_buf, position = np.empty(m, dtype=bool), np.arange(m)
+    lo, hi = np.array([0]), np.array([n])
+    while True:
+        keep = hi - lo >= 2
+        lo, hi = lo[keep], hi[keep]
+        if not lo.size:
+            break
+        # segment s owns entries first[s] ... first[s] + size[s] - 1, one
+        # per split index lo[s] + 1 ... hi[s] - 1
+        size = hi - lo - 1
+        first = np.cumsum(size) - size
+        k = int(first[-1] + size[-1])
+        split, bins, mask = split_buf[:k], bins_buf[:k], mask_buf[:k]
+        gains, left, right = gain_buf[:k], left_buf[:k], right_buf[:k]
+        np.add(position[:k], np.repeat(lo - first + 1, size), out=split)
+        total = cs[hi] - cs[lo]
+        # math.log, not np.log, which may differ in the last bit and so
+        # move a gain that sits on the penalty or ties another
+        whole = np.array([c * math.log(c / b) - c if c > 0 else 0.0
+                          for c, b in zip(total.tolist(), (hi - lo).tolist())])
+        np.take(cs, split, out=left, mode="wrap")  # in range; "raise" would buffer
+        left -= np.repeat(cs[lo], size)
+        np.subtract(np.repeat(total, size), left, out=right)
+        np.subtract(split, np.repeat(lo, size), out=bins)
+        _poisson_ll(left, bins, gains, mask)
+        np.subtract(np.repeat(hi, size), split, out=bins)
+        gains += _poisson_ll(right, bins, left, mask)
+        gains -= np.repeat(whole, size)
+        best = np.maximum.reduceat(gains, first)
+        # every segment holds its maximum, so its first hit is the first at
+        # or after its first entry
+        hits = np.flatnonzero(np.equal(gains, np.repeat(best, size), out=mask))
+        accept = best > penalty
+        cut = split[hits[np.searchsorted(hits, first[accept])]]
+        change_points += cut.tolist()
+        lo, hi = np.concatenate([lo[accept], cut]), np.concatenate([cut, hi[accept]])
     change_points.sort()
-    boundaries = [0, *change_points, n]
-    levels = [
-        float(cs[b] - cs[a]) / ((b - a) * trace.bin_width)
-        for a, b in zip(boundaries[:-1], boundaries[1:])
-    ]
+    boundaries = np.array([0, *change_points, n])
+    levels = np.diff(cs[boundaries]) / (np.diff(boundaries) * trace.bin_width)
     return Segmentation(
-        n_bins=n, bin_width=trace.bin_width, change_points=change_points, levels=levels
+        n_bins=n, bin_width=trace.bin_width, change_points=change_points,
+        levels=levels.tolist(),
     )
 
 

@@ -87,6 +87,8 @@ _seed = _checked(int, lambda v: 0 <= v < 2**64, "must be in [0, 2**64)")
 _repetitions = _checked(int, lambda v: v >= 1, "must be >= 1")
 _atom_count = _checked(int, lambda v: v >= 0, "must be >= 0")
 _multiplicity = _checked(int, lambda v: v in (1, 2), "must be 1 or 2")
+_loading_mode = _checked(str, lambda v: v in ("perfect", "geometric"),
+                         "must be 'perfect' or 'geometric'")
 
 
 def _schedule(raw: str) -> list[float]:
@@ -107,7 +109,7 @@ _SCHEMA = {
         "atoms_per_run": (None, _atom_count),
         "schedule_s": (None, _schedule),
         "output_dir": (".", str),
-        "loading_mode": ("perfect", str),
+        "loading_mode": ("perfect", _loading_mode),
     },
     "trap": {
         "power_w": (2.5, _positive),
@@ -263,8 +265,6 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("missing required key experiment.kind")
     if kind not in _KINDS:
         raise ConfigError(f"unknown experiment kind {kind!r}; expected one of {EXPERIMENT_KINDS}")
-    if exp["loading_mode"] not in ("perfect", "geometric"):
-        raise ConfigError("experiment.loading_mode must be 'perfect' or 'geometric'")
 
     _, sched_default, reps_default, atoms_default = _KINDS[kind]
     schedule = exp["schedule_s"]

@@ -167,16 +167,17 @@ class PhotonTrace:
         """Bin starts with the fewest significant digits, at least 9, whose
         spacings stay within BIN_SPACING_TOLERANCE of the bin width and of
         their median, so from_csv reads the trace back; 17 digits are exact."""
+        times = self.bin_starts.tolist()
         for digits in range(9, 18):
-            starts = [f"{t:.{digits}g}" for t in self.bin_starts.tolist()]
+            starts = list(map(f"%.{digits}g".__mod__, times))
             if digits == 17 or len(starts) < 2:
                 break
             spacing = np.diff(np.array(starts, dtype=float))
             if not (_off(spacing, self.bin_width).any()
                     or _off(spacing, float(np.median(spacing))).any()):
                 break
-        rows = "".join(f"{t},{c}\n" for t, c in zip(starts, self.counts.tolist()))
-        return "bin_start_s,counts\n" + rows
+        rows = "\n".join(map(",".join, zip(starts, map(str, self.counts.tolist()))))
+        return f"bin_start_s,counts\n{rows}\n"
 
     @classmethod
     def from_csv(cls, text_or_path) -> "PhotonTrace":

@@ -16,21 +16,21 @@ counter [0, 0, 0, run_index], an empty output buffer and no cached
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 __all__ = ["run_stream"]
 
 
-# A seed or index outside 64 bits is rejected rather than reduced, so
-# distinct seeds or runs never share a stream.
-def _check_seed(master_seed: int) -> None:
-    if not 0 <= master_seed < 2**64:
-        raise ValueError("master_seed must be in [0, 2**64)")
-
-
-def _check_index(run_index: int) -> None:
-    if not 0 <= run_index < 2**64:
-        raise ValueError("run_index must be in [0, 2**64)")
+# A seed or index that is not an integer (operator.index raises TypeError,
+# where int() would truncate a float) or lies outside 64 bits is rejected
+# rather than reduced, so distinct seeds or runs never share a stream.
+def _u64(value: int, name: str) -> int:
+    value = operator.index(value)
+    if not 0 <= value < 2**64:
+        raise ValueError(f"{name} must be in [0, 2**64)")
+    return value
 
 
 def _counter(run_index: int) -> np.ndarray:
@@ -43,10 +43,11 @@ def run_stream(master_seed: int, run_index: int) -> np.random.Generator:
     """Generator for run `run_index` of the experiment seeded by `master_seed`.
 
     master_seed is the 64-bit Philox key and run_index the high word of
-    its counter; either outside [0, 2**64) is rejected.
+    its counter; either raises TypeError when it is not an integer and
+    ValueError outside [0, 2**64).
     """
-    _check_seed(master_seed)
-    _check_index(run_index)
+    master_seed = _u64(master_seed, "master_seed")
+    run_index = _u64(run_index, "run_index")
     bitgen = np.random.Philox(key=np.uint64(master_seed), counter=_counter(run_index))
     return np.random.Generator(bitgen)
 
@@ -60,7 +61,7 @@ class RunStreams:
     """
 
     def __init__(self, master_seed: int):
-        _check_seed(master_seed)
+        master_seed = _u64(master_seed, "master_seed")
         self._counter = _counter(0)
         self._state = {
             "bit_generator": "Philox",
@@ -76,7 +77,6 @@ class RunStreams:
 
     def at(self, run_index: int) -> np.random.Generator:
         """The shared generator, rewound to the start of run `run_index`."""
-        _check_index(run_index)
-        self._counter[3] = run_index
+        self._counter[3] = _u64(run_index, "run_index")
         self._bitgen.state = self._state  # the setter copies the arrays
         return self._rng

@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from binseg_reference import binary_segmentation
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from atomtrap import (
@@ -19,6 +21,8 @@ from atomtrap import (
     fit_relaxation,
     fit_relaxation_joint,
     infer_atom_numbers,
+    parse_config,
+    run_experiment,
     run_stream,
 )
 from atomtrap.analysis import _BinomialModel, _DecayCurve
@@ -27,6 +31,28 @@ from atomtrap.analysis import _BinomialModel, _DecayCurve
 def constant_trace(rate, n_bins, stream):
     counts = stream.poisson(rate * 0.1, size=n_bins)
     return PhotonTrace(t0=0.0, bin_width=0.1, counts=counts)
+
+
+@st.composite
+def staircases(draw):
+    """Counts that step between a few levels, each bin within a spread of its level."""
+    counts = []
+    for _ in range(draw(st.integers(1, 6))):
+        level, spread = draw(st.integers(0, 2000)), draw(st.integers(0, 40))
+        counts += draw(st.lists(st.integers(max(level - spread, 0), level + spread),
+                                min_size=1, max_size=40))
+    return counts
+
+
+# staircases, constant traces (whose split gains tie) and sparse low counts
+traces = st.one_of(
+    staircases(),
+    st.builds(lambda c, n: [c] * n, st.integers(0, 50), st.integers(1, 80)),
+    st.lists(st.integers(0, 3), min_size=1, max_size=80),
+)
+
+# sha256 of repr([(change_points, levels), ...]) at master seeds 1, 2, 3
+MOT_MONITOR_SEGMENTATION_DIGEST = "79ac6a10497e496327e3b36dd8ab2de6801e5ff584fd7e108f97f314abc302de"
 
 
 class TestDetectSteps:
@@ -86,6 +112,38 @@ class TestDetectSteps:
         # would split at every bin; nan would accept every split
         with pytest.raises(ValueError, match="penalty"):
             detect_steps(PhotonTrace(t0=0.0, bin_width=0.1, counts=[1, 2, 3, 2]), penalty=penalty)
+
+    def test_one_bin_splits_do_not_exhaust_the_stack(self):
+        # every best split peels off one bin, so the accepted splits nest
+        # 2999 deep: a search that recursed per split overflowed the stack
+        counts = np.tile([0, 10**6], 1500)
+        seg = detect_steps(PhotonTrace(t0=0.0, bin_width=0.1, counts=counts))
+        assert seg.change_points == list(range(1, 3000))
+        assert seg.levels == [0.0, 1e7] * 1500
+
+    @given(counts=traces, penalty=st.one_of(st.none(), st.just(0.0), st.floats(0, 30)))
+    @settings(max_examples=300, deadline=None)
+    @example(counts=[0], penalty=None)
+    @example(counts=[0, 0], penalty=0.0)
+    @example(counts=[5, 5], penalty=0.0)
+    @example(counts=[3, 9], penalty=None)
+    @example(counts=[7] * 40, penalty=0.0)
+    @example(counts=[0] * 25, penalty=0.0)
+    def test_matches_recursive_reference(self, counts, penalty):
+        seg = detect_steps(PhotonTrace(t0=0.0, bin_width=0.1, counts=counts), penalty=penalty)
+        assert (seg.change_points, seg.levels) == binary_segmentation(counts, 0.1, penalty)
+
+    def test_mot_monitor_change_points_golden(self):
+        # (change_points, levels) of three default one-hour mot_monitor traces
+        found = []
+        for seed in (1, 2, 3):
+            cfg = parse_config(
+                f"[experiment]\nkind = mot_monitor\nmaster_seed = {seed}\nschedule_s = 3600\n")
+            ((_, trace),) = run_experiment(cfg).traces
+            seg = detect_steps(trace)
+            found.append((seg.change_points, seg.levels))
+        digest = hashlib.sha256(repr(found).encode()).hexdigest()
+        assert digest == MOT_MONITOR_SEGMENTATION_DIGEST
 
 
 class TestInferAtomNumbers:

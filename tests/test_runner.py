@@ -76,6 +76,12 @@ class TestConfig:
             with pytest.raises(ConfigError, match=re.escape(reason)):
                 parse_config(MINIMAL + line + "\n")
 
+    def test_bad_loading_mode_names_key_raw_text_and_reason(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(MINIMAL + "loading_mode = Geometric\n")
+        assert str(exc.value) == ("bad value for experiment.loading_mode: 'Geometric' "
+                                  "(must be 'perfect' or 'geometric')")
+
     @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("section,key", _FLOAT_KEYS)
     def test_non_finite_float_rejected(self, section, key, raw):

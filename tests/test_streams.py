@@ -117,6 +117,21 @@ def test_run_streams_reject_what_run_stream_rejects(seed, index):
     assert str(reused.value) == str(fresh.value)
 
 
+@pytest.mark.parametrize("seed, index", [(5, 1.5), (5.7, 1), (5, 1.0), (5.0, 1), (5, "1")])
+def test_non_integer_seed_or_index_rejected(seed, index):
+    # int() would truncate 1.5 and 5.7 and draw run_stream(5, 1)'s stream
+    with pytest.raises(TypeError):
+        run_stream(seed, index)
+    with pytest.raises(TypeError):
+        RunStreams(seed).at(index)
+
+
+def test_numpy_integer_seed_and_index_accepted():
+    expected = _draws(run_stream(5, 2**63 + 1))
+    assert _same(_draws(run_stream(np.uint64(5), np.uint64(2**63 + 1))), expected)
+    assert _same(_draws(RunStreams(np.int64(5)).at(np.uint64(2**63 + 1))), expected)
+
+
 PRIOR_DRAWS = {
     "random": lambda rng: rng.random(),
     "uint32": lambda rng: rng.integers(0, 2**32, dtype=np.uint32),

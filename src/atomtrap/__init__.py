@@ -31,7 +31,6 @@ from .kinetics import (
     gillespie_mot,
     dipole_survival,
     magnetic_trap_survival,
-    hyperfine_telegraph,
     analytic_occupation,
     mot_endpoint,
     hyperfine_endpoint,

@@ -87,21 +87,6 @@ class FitResult:
             rec["bootstrap_errors"] = [self.bootstrap_errors[k] for k in names]
         return json.dumps(rec, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "FitResult":
-        rec = json.loads(text)
-        names = rec["parameter_names"]
-        k = len(names)
-        boot = rec.get("bootstrap_errors")
-        return cls(
-            parameters=dict(zip(names, rec["values"])),
-            standard_errors=dict(zip(names, rec["standard_errors"])),
-            covariance=np.array(rec["covariance_row_major"]).reshape(k, k),
-            log_likelihood=rec["log_likelihood"],
-            n_points=rec["n_points"],
-            bootstrap_errors=dict(zip(names, boot)) if boot is not None else None,
-        )
-
 
 # ---------------------------------------------------------------------------
 # change-point detection
@@ -236,7 +221,8 @@ def classify_burst(window_counts: int, n_atoms: int, model: BurstModel) -> Burst
     """Posterior over the number of bright (F=4) atoms in a detection window.
 
     Exact Poisson likelihood with mean background + k * photons_per_atom
-    for k bright atoms, under a uniform prior.
+    for k bright atoms, under a uniform prior. Raises ValueError for counts
+    that no hypothesis can give, when every mean is 0.
     """
     if n_atoms < 0:
         raise ValueError("n_atoms must be non-negative")
@@ -244,6 +230,9 @@ def classify_burst(window_counts: int, n_atoms: int, model: BurstModel) -> Burst
         raise ValueError("window_counts must be non-negative")
     k = np.arange(n_atoms + 1)
     mean = model.background_photons_per_window + k * model.mean_photons_per_atom
+    if window_counts > 0 and not np.any(mean > 0):
+        raise ValueError(f"{window_counts} counts are impossible when every hypothesis "
+                         "has a mean of 0 photons")
     with np.errstate(divide="ignore"):
         loglik = np.where(
             mean > 0,
@@ -429,16 +418,30 @@ def _bootstrap_errors(model: _BinomialModel, fit: FitResult, param_names, lower,
     return dict(zip(param_names, (float(s) for s in sd)))
 
 
-def _best_of_starts(model: _BinomialModel, starts, names, lower, upper) -> FitResult | None:
-    """Highest-likelihood fit over the starting points that converge."""
-    best = None
+def _fit(model: _BinomialModel, starts, names, lower, upper, bootstrap: int, what: str) -> FitResult:
+    """Highest-likelihood fit over the starting points that converge.
+
+    With bootstrap > 0 the fit carries parametric bootstrap errors from
+    that many resamples. Raises ValueError for a bootstrap count below 10
+    other than 0, which could never give the 10 converged resamples that
+    _bootstrap_errors needs, and FitError with the last start's reason
+    when no start converges.
+    """
+    if bootstrap != 0 and bootstrap < 10:
+        raise ValueError(f"bootstrap needs 0 or at least 10 resamples, got {bootstrap}")
+    best = reason = None
     for x0 in starts:
         try:
             fit = model.solve(x0, names, lower, upper)
-        except FitError:
+        except FitError as exc:
+            reason = exc
             continue
         if best is None or fit.log_likelihood > best.log_likelihood:
             best = fit
+    if best is None:
+        raise FitError(f"{what} did not converge from any starting point: {reason}") from reason
+    if bootstrap:
+        best.bootstrap_errors = _bootstrap_errors(model, best, names, lower, upper, bootstrap)
     return best
 
 
@@ -476,11 +479,8 @@ def fit_exponential_survival(points, offset_free: bool = False, bootstrap: int =
         x0 = [tau0]
         lower, upper = np.array([1e-9]), np.array([np.inf])
         curve = _DecayCurve(eq=0.0, start=1.0)
-    model = _BinomialModel(t, succ, tot, curve)
-    fit = model.solve(x0, names, lower, upper)
-    if bootstrap:
-        fit.bootstrap_errors = _bootstrap_errors(model, fit, names, lower, upper, bootstrap)
-    return fit
+    return _fit(_BinomialModel(t, succ, tot, curve), [x0], names, lower, upper, bootstrap,
+                "survival fit")
 
 
 def _relaxation_arm(points):
@@ -519,12 +519,7 @@ def fit_relaxation(points, f_initial: int, bootstrap: int = 0) -> FitResult:
         [tau0, min(max(peq_guess, 0.05), 0.95), min(max(p0_guess, 0.02), 0.98)]
         for tau0 in span * np.array([0.1, 0.3, 1.0, 3.0])
     ]
-    best = _best_of_starts(model, starts, names, lower, upper)
-    if best is None:
-        raise FitError("relaxation fit did not converge from any starting point")
-    if bootstrap:
-        best.bootstrap_errors = _bootstrap_errors(model, best, names, lower, upper, bootstrap)
-    return best
+    return _fit(model, starts, names, lower, upper, bootstrap, "relaxation fit")
 
 
 def fit_relaxation_joint(points_f3, points_f4, bootstrap: int = 0) -> FitResult:
@@ -549,9 +544,4 @@ def fit_relaxation_joint(points_f3, points_f4, bootstrap: int = 0) -> FitResult:
     names = ("tau", "p4_eq")
     lower, upper = np.array([1e-9, 0.0]), np.array([np.inf, 1.0])
     starts = [[tau0, 0.5] for tau0 in span * np.array([0.1, 0.3, 1.0])]
-    best = _best_of_starts(model, starts, names, lower, upper)
-    if best is None:
-        raise FitError("joint relaxation fit did not converge from any starting point")
-    if bootstrap:
-        best.bootstrap_errors = _bootstrap_errors(model, best, names, lower, upper, bootstrap)
-    return best
+    return _fit(model, starts, names, lower, upper, bootstrap, "joint relaxation fit")

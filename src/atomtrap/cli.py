@@ -133,8 +133,6 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    if args.counts < 0 or args.atoms < 0:
-        raise ValueError("counts and atoms must be non-negative")
     model = BurstModel(mean_photons_per_atom=args.mean_photons,
                        background_photons_per_window=args.background)
     cl = classify_burst(args.counts, args.atoms, model)

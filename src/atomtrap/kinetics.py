@@ -18,7 +18,6 @@ __all__ = [
     "gillespie_mot",
     "dipole_survival",
     "magnetic_trap_survival",
-    "hyperfine_telegraph",
     "analytic_occupation",
     "mot_endpoint",
     "hyperfine_endpoint",
@@ -178,33 +177,8 @@ def magnetic_trap_survival(n0: int, lifetime: float, t_hold: float, rng: np.rand
     return dipole_survival(projected, lifetime, t_hold, rng)
 
 
-def hyperfine_telegraph(
-    f_initial: int, rates: HyperfineRates, t: float, rng: np.random.Generator
-) -> StateTrajectory:
-    """Two-state continuous-time Markov chain over the F = 3, 4 ground states."""
-    if f_initial not in (3, 4):
-        raise ValueError("f_initial must be 3 or 4")
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    times = [0.0]
-    values = [f_initial]
-    state = f_initial
-    now = 0.0
-    while True:
-        rate = rates.r_4to3 if state == 4 else rates.r_3to4
-        if rate == 0.0:
-            break
-        now += rng.exponential(1.0 / rate)
-        if now >= t:
-            break
-        state = 7 - state  # flip between 3 and 4
-        times.append(now)
-        values.append(state)
-    return StateTrajectory(np.array(times), np.array(values), t_end=t)
-
-
 def _occupations(rates: HyperfineRates, t):
-    """P(F=4 at time t) of the telegraph process from F=4 and from F=3.
+    """P(F=4 at time t) of the two-state F = 3, 4 Markov chain from F=4 and from F=3.
 
     P4(t) = P4_eq + (P4(0) - P4_eq) exp(-(r43 + r34) t), one exp for both
     initial states; with both rates zero, the initial occupations.
@@ -263,10 +237,10 @@ def hyperfine_endpoint(
 ) -> int:
     """Number of atoms in F=4 after time t, from n_f4 atoms in F=4 and n_f3 in F=3.
 
-    Each atom's final F is an independent Bernoulli draw with the
-    analytic_occupation of its initial state, the endpoint law of
-    hyperfine_telegraph(f, rates, t, rng).final_value(); the F=4 count is
-    their sum, drawn as the two binomials in one vectorised call.
+    Each atom flips between F=4 and F=3 at the rates r_4to3 and r_3to4,
+    independently of the others, so its final F is a Bernoulli draw with
+    the analytic_occupation of its initial state; the F=4 count is their
+    sum, drawn as the two binomials in one vectorised call.
     """
     if n_f4 < 0 or n_f3 < 0:
         raise ValueError("atom counts must be non-negative")

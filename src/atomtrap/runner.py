@@ -395,7 +395,7 @@ def _survival_experiment(cfg: ExperimentConfig) -> Dataset:
 
             def run(rng):
                 rec = run_plan(plan, cfg.atoms_per_run, bundle, rng)
-                return rec.recaptured_n or 0, rec.prepared_n or 0
+                return rec.recaptured_n, rec.prepared_n
             return run
     outcomes, counters = _repeat(cfg, [(f"t={t!r}", runs_at(t)) for t in cfg.schedule])
     points = []

@@ -493,7 +493,7 @@ def run_plan(
             survivors = n
             if traces and dt >= det.bin_width:
                 out.append((cat, synthesize_counts(
-                    [0.0], [det.stray_when_mot_off], dt, det.bin_width, rng)))
+                    [0.0], [det.dipole_stray_rate], dt, det.bin_width, rng)))
         elif cat == "magnetic_hold":
             n = magnetic_trap_survival(n, physics.magnetic_lifetime, dt, rng)
             n4 = None

@@ -31,15 +31,14 @@ class DetectorModel:
 
     overlap_suppression multiplies the fluorescence while both traps are
     on (light shift pushes the atoms out of resonance). dipole_stray_rate
-    is the count rate with only the dipole laser on; None means "same as
-    the MOT stray background".
+    is the count rate with only the dipole laser on.
     """
 
     per_atom_rate: float = 1.6e4
     background_rate: float = 5e3
     bin_width: float = 0.1
     overlap_suppression: float = 0.3
-    dipole_stray_rate: float | None = None
+    dipole_stray_rate: float = 5e3
 
     def __post_init__(self):
         if not (self.per_atom_rate >= 0 and self.background_rate >= 0):
@@ -48,12 +47,8 @@ class DetectorModel:
             raise ValueError("bin_width must be positive")
         if not (0 <= self.overlap_suppression <= 1):
             raise ValueError("overlap_suppression must be in [0, 1]")
-        if self.dipole_stray_rate is not None and not self.dipole_stray_rate >= 0:
+        if not self.dipole_stray_rate >= 0:
             raise ValueError("dipole_stray_rate must be non-negative")
-
-    @property
-    def stray_when_mot_off(self) -> float:
-        return self.background_rate if self.dipole_stray_rate is None else self.dipole_stray_rate
 
 
 @dataclass(frozen=True)

@@ -221,6 +221,14 @@ class TestClassifyBurst:
         with pytest.raises(ValueError):
             classify_burst(2, 2, BurstModel()).map_state
 
+    @pytest.mark.parametrize("n_atoms, mean_photons", [(1, 0.0), (0, 3.0)])
+    def test_counts_no_hypothesis_can_give_raise(self, n_atoms, mean_photons):
+        # every mean is 0, so every likelihood of 3 counts is 0
+        model = BurstModel(mean_photons_per_atom=mean_photons, background_photons_per_window=0.0)
+        with pytest.raises(ValueError, match="^3 counts are impossible"):
+            classify_burst(3, n_atoms, model)
+        assert classify_burst(0, n_atoms, model).posterior.sum() == pytest.approx(1.0)
+
 
 def grad_norm_check(fit, points, p_model):
     """Central finite-difference gradient of the binomial log-likelihood."""
@@ -444,6 +452,41 @@ class TestBinomialEngine:
         assert fit.log_likelihood >= -448.64
 
 
+SURVIVAL_POINTS = [(1, 390, 400), (20, 260, 400), (60, 120, 400)]
+F3_POINTS = [(1.0, 0.21, 90), (2.0, 0.33, 90), (4.0, 0.46, 90), (8.0, 0.55, 90)]
+F4_POINTS = [(1.0, 0.88, 90), (2.0, 0.79, 90), (4.0, 0.66, 90), (8.0, 0.58, 90)]
+FITTERS = {
+    "survival": lambda bootstrap: fit_exponential_survival(SURVIVAL_POINTS, bootstrap=bootstrap),
+    "relaxation": lambda bootstrap: fit_relaxation(F3_POINTS, f_initial=3, bootstrap=bootstrap),
+    "joint": lambda bootstrap: fit_relaxation_joint(F3_POINTS, F4_POINTS, bootstrap=bootstrap),
+}
+
+
+class TestFitDriver:
+    @pytest.mark.parametrize("fitter", sorted(FITTERS))
+    @pytest.mark.parametrize("bootstrap", [1, 5, 9, -3])
+    def test_too_few_resamples_rejected_before_fitting(self, fitter, bootstrap, monkeypatch):
+        def solve(*args):
+            raise AssertionError("a fit ran")
+        monkeypatch.setattr(_BinomialModel, "solve", solve)
+        with pytest.raises(ValueError, match=f"^bootstrap needs 0 or at least 10 resamples, "
+                                             f"got {bootstrap}$"):
+            FITTERS[fitter](bootstrap)
+
+    @pytest.mark.parametrize("fitter", sorted(FITTERS))
+    def test_ten_resamples_suffice(self, fitter):
+        fit = FITTERS[fitter](10)
+        assert set(fit.bootstrap_errors) == set(fit.parameters)
+
+    @pytest.mark.parametrize("fitter", sorted(FITTERS))
+    def test_failure_carries_the_solver_reason(self, fitter, monkeypatch):
+        def solve(*args):
+            raise FitError("fit did not converge (gradient norm 0.5)")
+        monkeypatch.setattr(_BinomialModel, "solve", solve)
+        with pytest.raises(FitError, match=r"gradient norm 0\.5"):
+            FITTERS[fitter](0)
+
+
 class TestFitResultJson:
     def test_round_trip(self):
         fit = FitResult(
@@ -452,13 +495,16 @@ class TestFitResultJson:
             covariance=np.array([[9.0, 0.1], [0.1, 4e-4]]),
             log_likelihood=-12.5,
             n_points=7,
+            bootstrap_errors={"tau": 3.5, "a": 0.03},
         )
-        back = FitResult.from_json(fit.to_json())
-        assert back.parameters == fit.parameters
-        assert back.standard_errors == fit.standard_errors
-        assert np.allclose(back.covariance, fit.covariance)
-        assert back.log_likelihood == fit.log_likelihood
-        assert back.n_points == 7
+        rec = json.loads(fit.to_json())
+        assert rec["parameter_names"] == ["tau", "a"]
+        assert rec["values"] == [51.0, 0.5]
+        assert rec["standard_errors"] == [3.0, 0.02]
+        assert rec["covariance_row_major"] == [9.0, 0.1, 0.1, 4e-4]
+        assert rec["log_likelihood"] == -12.5
+        assert rec["n_points"] == 7
+        assert rec["bootstrap_errors"] == [3.5, 0.03]
 
     def test_documented_record_fields(self):
         fit = FitResult({"tau": 1.0}, {"tau": 0.1}, np.array([[0.01]]), -1.0, 3)

@@ -10,10 +10,12 @@ from pathlib import Path
 import pytest
 
 import atomtrap
-from atomtrap import FitResult, build_protocol, chain, fit_relaxation, sequence_to_csv
+from atomtrap import (build_protocol, chain, fit_exponential_survival, fit_relaxation,
+                      sequence_to_csv)
 from atomtrap.cli import main
 
 LIFETIME_INI = "[experiment]\nkind = lifetime\nrepetitions = 5\n"
+SURVIVAL_CSV = "t_s,survived,total\n1,390,400\n20,260,400\n60,120,400\n"
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 SUBCOMMANDS = ("simulate", "analyze", "classify", "fit", "validate-seq")
 
@@ -94,6 +96,19 @@ class TestClassify:
         assert code == 0
         assert rec["map_bright_atoms"] == 2
 
+    @pytest.mark.parametrize("counts, atoms, mean, message", [
+        ("3", "1", "0", "3 counts are impossible"),
+        ("3", "0", "3", "3 counts are impossible"),
+        ("-1", "1", "3", "window_counts must be non-negative"),
+        ("1", "-1", "3", "n_atoms must be non-negative"),
+    ])
+    def test_invalid_counts_are_data_error(self, capsys, counts, atoms, mean, message):
+        code, out, err = run_cli(capsys, "classify", counts, "--atoms", atoms,
+                                 "--mean-photons", mean, "--background", "0")
+        assert code == 2
+        assert out == ""
+        assert message in err
+
 
 class TestAnalyze:
     def test_staircase(self, tmp_path, capsys):
@@ -169,16 +184,31 @@ class TestFit:
 
     def test_bootstrap_errors_in_output_round_trip(self, tmp_path, capsys):
         path = tmp_path / "surv.csv"
-        path.write_text("t_s,survived,total\n1,390,400\n20,260,400\n60,120,400\n")
+        path.write_text(SURVIVAL_CSV)
         code, out, _ = run_cli(capsys, "fit", str(path), "--model", "survival",
                                "--bootstrap", "20")
         assert code == 0
         rec = json.loads(out)
-        assert len(rec["bootstrap_errors"]) == len(rec["parameter_names"]) == 1
+        assert rec["parameter_names"] == ["tau"]
         assert rec["bootstrap_errors"][0] > 0
-        fit = FitResult.from_json(out)
-        assert fit.bootstrap_errors == {"tau": rec["bootstrap_errors"][0]}
-        assert fit.to_json() + "\n" == out
+        fit = fit_exponential_survival([(1, 390, 400), (20, 260, 400), (60, 120, 400)],
+                                       bootstrap=20)
+        assert rec["values"] == [fit.parameters["tau"]]
+        assert rec["standard_errors"] == [fit.standard_errors["tau"]]
+        assert rec["covariance_row_major"] == [float(fit.covariance[0, 0])]
+        assert rec["log_likelihood"] == fit.log_likelihood
+        assert rec["n_points"] == fit.n_points == 3
+        assert rec["bootstrap_errors"] == [fit.bootstrap_errors["tau"]]
+
+    @pytest.mark.parametrize("count", ["5", "-3"])
+    def test_too_few_bootstrap_resamples_is_data_error(self, tmp_path, capsys, count):
+        path = tmp_path / "surv.csv"
+        path.write_text(SURVIVAL_CSV)
+        code, out, err = run_cli(capsys, "fit", str(path), "--model", "survival",
+                                 "--bootstrap", count)
+        assert code == 2
+        assert out == ""
+        assert f"bootstrap needs 0 or at least 10 resamples, got {count}" in err
 
     def test_relaxation_joint(self, tmp_path, capsys):
         import numpy as np

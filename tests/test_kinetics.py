@@ -12,11 +12,11 @@ from atomtrap import (
     dipole_survival,
     gillespie_mot,
     hyperfine_endpoint,
-    hyperfine_telegraph,
     magnetic_trap_survival,
     mot_endpoint,
     run_stream,
 )
+from telegraph_reference import hyperfine_telegraph
 from two_sample import chi2_two_sample
 
 REF_HF = HyperfineRates(r_4to3=7 / 16 * 0.2639, r_3to4=9 / 16 * 0.2639)

@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 
 from atomtrap import (
     EXPERIMENT_KINDS,
+    BurstModel,
     ConfigError,
+    DetectorModel,
+    MotRates,
     classify_burst,
     export_dataset,
     load_config,
@@ -174,6 +177,12 @@ class TestConfig:
         assert cfg.loading_efficiency() == 1.0
         cfg2 = parse_config(MINIMAL + "loading_mode = geometric\n")
         assert 0.6 < cfg2.loading_efficiency() < 0.8
+
+    def test_config_defaults_are_the_model_defaults(self):
+        cfg = parse_config(MINIMAL)
+        assert cfg.detector_model() == DetectorModel()
+        assert cfg.burst_model() == BurstModel()
+        assert cfg.mot_rates() == MotRates()
 
 
 def small(kind, seed=5, **extra):

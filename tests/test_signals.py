@@ -289,7 +289,7 @@ class TestModels:
         assert det.background_rate == 5e3
         assert det.bin_width == 0.1
         assert det.overlap_suppression == 0.3
-        assert det.stray_when_mot_off == det.background_rate
+        assert det.dipole_stray_rate == det.background_rate
 
     def test_burst_defaults(self):
         model = BurstModel()

@@ -9,9 +9,9 @@ the effective hyperfine relaxation rate.
 """
 
 import numpy as np
-from scipy.constants import k as k_B
 
 import atomtrap as at
+from atomtrap.physics import k_B
 
 atom = at.AtomParams()
 beam = at.GaussianBeam(power=2.5, waist=5e-6, wavelength=1.064e-6)

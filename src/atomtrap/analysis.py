@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .signals import BurstModel, DetectorModel, PhotonTrace
 
@@ -236,7 +235,7 @@ def classify_burst(window_counts: int, n_atoms: int, model: BurstModel) -> Burst
     with np.errstate(divide="ignore"):
         loglik = np.where(
             mean > 0,
-            window_counts * np.log(np.maximum(mean, 1e-300)) - mean - gammaln(window_counts + 1),
+            window_counts * np.log(np.maximum(mean, 1e-300)) - mean - math.lgamma(window_counts + 1),
             0.0 if window_counts == 0 else -np.inf,
         )
     post = np.exp(loglik - loglik.max())

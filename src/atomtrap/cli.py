@@ -20,7 +20,8 @@ from .analysis import (
     fit_relaxation_joint,
     infer_atom_numbers,
 )
-from .runner import ConfigError, export_dataset, finite, load_config, non_negative, run_experiment
+from .runner import (ConfigError, export_dataset, finite, load_config, non_negative,
+                     run_experiment, seed)
 from .sequence import DIPOLE_HOLD, MOT_OPERATION, sequence_from_csv, validate_sequence
 from .signals import BurstModel, DetectorModel, PhotonTrace, read_csv_table
 
@@ -44,7 +45,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="run a configured experiment and export the dataset")
     p.add_argument("config", help="INI experiment configuration file")
-    p.add_argument("--seed", type=int, default=None, help="override the master seed")
+    p.add_argument("--seed", type=seed, default=None, help="override the master seed")
     p.add_argument("--format", choices=("csv", "json", "both"), default="both",
                    help="export format for datasets")
     add_out(p, "output directory (default: the config's output_dir)")

@@ -7,12 +7,10 @@ by k_B at the interface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import constants as const
-from scipy.optimize import brentq
 
 from .kinetics import HyperfineRates
 
@@ -32,7 +30,9 @@ __all__ = [
     "effective_relaxation_rates",
 ]
 
-_CS_MASS_KG = 132.905451931 * const.atomic_mass
+c = 299792458.0  # m/s, exact in the SI
+k_B = 1.380649e-23  # J/K, exact in the SI
+hbar = 6.62607015e-34 / (2 * np.pi)  # J s, h / (2 pi) with h exact
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,6 @@ class AtomParams:
     linewidth_gamma: float = 2 * np.pi * 5.2e6  # rad/s
     wavelength_d2: float = 852e-9  # m
     wavelength_d1: float = 894.6e-9  # m
-    mass: float = _CS_MASS_KG  # kg
 
     def __post_init__(self):
         if self.linewidth_gamma <= 0:
@@ -52,16 +51,16 @@ class AtomParams:
 
     @property
     def omega_d2(self) -> float:
-        return 2 * np.pi * const.c / self.wavelength_d2
+        return 2 * np.pi * c / self.wavelength_d2
 
     @property
     def omega_d1(self) -> float:
-        return 2 * np.pi * const.c / self.wavelength_d1
+        return 2 * np.pi * c / self.wavelength_d1
 
     @property
     def doppler_temperature(self) -> float:
         """T_D = hbar*Gamma / (2 k_B)."""
-        return const.hbar * self.linewidth_gamma / (2 * const.k)
+        return hbar * self.linewidth_gamma / (2 * k_B)
 
 
 @dataclass(frozen=True)
@@ -149,7 +148,7 @@ class MotCloud:
 
     @property
     def kinetic_energy(self) -> float:
-        return const.k * self.temperature
+        return k_B * self.temperature
 
 
 @dataclass(frozen=True)
@@ -184,12 +183,12 @@ def trap_depth(beam: GaussianBeam, atom: AtomParams) -> float:
     and 2/3, keeping both the co- and counter-rotating denominators.
     """
     _check_red_detuned(beam, atom)
-    omega = 2 * np.pi * const.c / beam.wavelength
+    omega = 2 * np.pi * c / beam.wavelength
     i0 = beam.peak_intensity
     depth = 0.0
     for omega_res, weight in ((atom.omega_d2, _D2_WEIGHT), (atom.omega_d1, _D1_WEIGHT)):
         amp = 1 / (omega_res - omega) + 1 / (omega_res + omega)
-        depth += weight * (3 * np.pi * const.c**2 / (2 * omega_res**3)) * atom.linewidth_gamma * amp * i0
+        depth += weight * (3 * np.pi * c**2 / (2 * omega_res**3)) * atom.linewidth_gamma * amp * i0
     return depth
 
 
@@ -200,14 +199,14 @@ def peak_scattering_rate(beam: GaussianBeam, atom: AtomParams) -> float:
     line summed.
     """
     _check_red_detuned(beam, atom)
-    omega = 2 * np.pi * const.c / beam.wavelength
+    omega = 2 * np.pi * c / beam.wavelength
     i0 = beam.peak_intensity
     rate = 0.0
     for omega_res, weight in ((atom.omega_d2, _D2_WEIGHT), (atom.omega_d1, _D1_WEIGHT)):
         amp = 1 / (omega_res - omega) + 1 / (omega_res + omega)
         rate += (
             weight
-            * (3 * np.pi * const.c**2 / (2 * const.hbar * omega_res**3))
+            * (3 * np.pi * c**2 / (2 * hbar * omega_res**3))
             * (atom.linewidth_gamma * amp) ** 2
             * i0
         )
@@ -219,7 +218,7 @@ def fluorescence_budget(atom: AtomParams, overall_efficiency: float) -> Fluoresc
     if not (0 <= overall_efficiency <= 1):
         raise ValueError("overall_efficiency must be in [0, 1]")
     omega = atom.omega_d2
-    emitted = const.hbar * omega * atom.linewidth_gamma / 2
+    emitted = hbar * omega * atom.linewidth_gamma / 2
     detected = atom.linewidth_gamma / 2 * overall_efficiency
     return FluorescenceBudget(emitted_power=emitted, detected_rate=detected)
 
@@ -272,6 +271,7 @@ def amplitude_for_factor(target: float, trap: TrapModel, order: int = 256) -> fl
         raise ValueError("target must be in (0, 1]")
     if target == 1.0:
         return 0.0
+    from scipy.optimize import brentq  # local: import atomtrap loads no scipy
 
     def f(a_m: float) -> float:
         return intensity_averaging_factor(a_m, trap, order=order) - target

@@ -79,11 +79,18 @@ def non_negative(raw: str) -> float:
     return value
 
 
+def seed(raw: str) -> int:
+    """An integer in [0, 2**64), the Philox key; a def so that argparse names it."""
+    value = int(raw)
+    if not 0 <= value < 2**64:
+        raise ValueError("must be in [0, 2**64)")
+    return value
+
+
 _positive = _checked(finite, lambda v: v > 0, "must be positive")
 _fraction = _checked(finite, lambda v: 0 <= v <= 1, "must be in [0, 1]")
 _unit_fraction = _checked(finite, lambda v: 0 < v <= 1, "must be in (0, 1]")
 _at_least_one = _checked(finite, lambda v: v >= 1, "must be >= 1")
-_seed = _checked(int, lambda v: 0 <= v < 2**64, "must be in [0, 2**64)")
 _repetitions = _checked(int, lambda v: v >= 1, "must be >= 1")
 _atom_count = _checked(int, lambda v: v >= 0, "must be >= 0")
 _multiplicity = _checked(int, lambda v: v in (1, 2), "must be 1 or 2")
@@ -104,7 +111,7 @@ def _schedule(raw: str) -> list[float]:
 _SCHEMA = {
     "experiment": {
         "kind": (None, str),
-        "master_seed": (0, _seed),
+        "master_seed": (0, seed),
         "repetitions": (None, _repetitions),
         "atoms_per_run": (None, _atom_count),
         "schedule_s": (None, _schedule),

@@ -6,6 +6,7 @@ import pytest
 from binseg_reference import binary_segmentation
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from atomtrap import (
     BurstModel,
@@ -228,6 +229,25 @@ class TestClassifyBurst:
         with pytest.raises(ValueError, match="^3 counts are impossible"):
             classify_burst(3, n_atoms, model)
         assert classify_burst(0, n_atoms, model).posterior.sum() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("model", [
+        BurstModel(),
+        BurstModel(mean_photons_per_atom=0.7, background_photons_per_window=2.0),
+    ])
+    def test_matches_the_gammaln_reference(self, model):
+        # the log-factorial term is the same for every hypothesis, so math.lgamma
+        # and scipy's gammaln give the same posterior up to rounding
+        for counts in range(80):
+            for n_atoms in range(8):
+                mean = (model.background_photons_per_window
+                        + np.arange(n_atoms + 1) * model.mean_photons_per_atom)
+                loglik = counts * np.log(mean) - mean - gammaln(counts + 1)
+                ref = np.exp(loglik - loglik.max())
+                ref /= ref.sum()
+                cl = classify_burst(counts, n_atoms, model)
+                assert cl.map_k == int(np.argmax(ref))
+                shown = ref > 1e-300
+                np.testing.assert_allclose(cl.posterior[shown], ref[shown], rtol=1e-12, atol=0)
 
 
 def grad_norm_check(fit, points, p_model):

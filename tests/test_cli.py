@@ -356,6 +356,14 @@ class TestUsageErrors:
         parser = "non_negative" if option == "--penalty" else "finite"
         assert f"argument {option}: invalid {parser} value: '{value}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["-1", str(2**64)])
+    def test_seed_out_of_range_is_usage_error(self, value, capsys):
+        # rejected while parsing, before the config file is read
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "exp.ini", "--seed", value])
+        assert exc.value.code == 1
+        assert f"argument --seed: invalid seed value: '{value}'" in capsys.readouterr().err
+
     def test_negative_penalty_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "trace.csv", "--penalty=-1"])

@@ -1,8 +1,12 @@
 """The simulation layers do not depend on recovery, orchestration or the CLI,
-and the package re-exports exactly each module's public names."""
+the package re-exports exactly each module's public names, and importing it
+loads no scipy."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -62,3 +66,13 @@ def test_package_reexports_exactly_the_module_all(module):
     names = importlib.import_module(f"atomtrap.{module}").__all__
     assert len(set(names)) == len(names)
     assert _reexports()[module] == set(names)
+
+
+def test_import_loads_no_scipy():
+    # scipy serves only amplitude_for_factor, which imports it when called
+    code = ("import atomtrap, atomtrap.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -18,6 +18,7 @@ from atomtrap import (
     peak_scattering_rate,
     trap_depth,
 )
+from atomtrap import physics, runner
 
 CS = AtomParams()
 BEAM = GaussianBeam(power=2.5, waist=5e-6, wavelength=1.064e-6)
@@ -25,6 +26,17 @@ BEAM = GaussianBeam(power=2.5, waist=5e-6, wavelength=1.064e-6)
 
 def default_trap():
     return TrapModel.from_beam(BEAM, CS)
+
+
+class TestConstants:
+    def test_exact_si_values_equal_scipy(self):
+        assert (physics.c, physics.hbar, physics.k_B) == (const.c, const.hbar, const.k)
+
+    def test_derived_defaults_unchanged(self):
+        # the values the defaults had when the constants came from scipy.constants, as repr
+        assert runner._DOPPLER_K == 0.00012478031990752176
+        assert default_trap().depth_u0 == 2.389738433893725e-25
+        assert effective_relaxation_rates(default_trap()).total == 0.2908413482412
 
 
 class TestAtomParams:

@@ -22,9 +22,9 @@ for counts in range(6):
           f"F={cl.map_state}")
 
 n = 20000
-bright = np.array([at.synthesize_detection_burst(1, 0, model, rng).counts.sum()
+bright = np.array([at.synthesize_detection_burst(1, model, rng).counts.sum()
                    for _ in range(n)])
-dark = np.array([at.synthesize_detection_burst(0, 1, model, rng).counts.sum()
+dark = np.array([at.synthesize_detection_burst(0, model, rng).counts.sum()
                  for _ in range(n)])
 tpr, fpr = (bright >= 2).mean(), (dark >= 2).mean()
 tpr_th = 1 - np.exp(-3.5) * (1 + 3.5)

@@ -54,20 +54,21 @@ def _build_parser() -> _Parser:
     p.add_argument("trace", help="photon trace CSV (header: bin_start_s,counts)")
     p.add_argument("--penalty", type=non_negative, default=None,
                    help="log-likelihood penalty per change point (default 1.5*ln(n))")
-    p.add_argument("--per-atom-rate", type=finite, default=1.6e4)
-    p.add_argument("--background-rate", type=finite, default=5e3)
+    p.add_argument("--per-atom-rate", type=finite, default=DetectorModel.per_atom_rate)
+    p.add_argument("--background-rate", type=finite, default=DetectorModel.background_rate)
     add_out(p)
 
     p = sub.add_parser("classify", help="posterior over bright atoms in a detection window")
     p.add_argument("counts", type=int, help="photon counts in the detection window")
     p.add_argument("--atoms", type=int, required=True, help="number of atoms in the trap")
-    p.add_argument("--mean-photons", type=finite, default=3.0)
-    p.add_argument("--background", type=finite, default=0.5)
+    p.add_argument("--mean-photons", type=finite, default=BurstModel.mean_photons_per_atom)
+    p.add_argument("--background", type=finite, default=BurstModel.background_photons_per_window)
     add_out(p)
 
     p = sub.add_parser("fit", help="maximum-likelihood fit of a dataset CSV")
     p.add_argument("data", nargs="+",
-                   help="CSV file(s); survival: t_s,survived,total; relaxation: t_s,p4,n; "
+                   help="CSV file(s) with the header t_s,survived,total (survival) or "
+                        "t_s,p4,n (relaxation), which simulate's exports do not have; "
                         "two relaxation files (F=3 then F=4) select the joint fit")
     p.add_argument("--model", choices=("survival", "relaxation"), required=True)
     p.add_argument("--offset-free", action="store_true",

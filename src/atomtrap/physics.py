@@ -117,19 +117,13 @@ class TrapModel:
             raise ValueError("intensity_averaging_factor must be in (0, 1]")
 
     @classmethod
-    def from_beam(
-        cls,
-        beam: GaussianBeam,
-        atom: AtomParams,
-        raman_suppression: float = 90.0,
-        intensity_averaging_factor: float = 0.125,
-    ) -> "TrapModel":
+    def from_beam(cls, beam: GaussianBeam, atom: AtomParams, **factors) -> "TrapModel":
+        """The trap of beam for atom; factors: raman_suppression, intensity_averaging_factor."""
         return cls(
             depth_u0=trap_depth(beam, atom),
             waist=beam.waist,
             peak_scattering_rate=peak_scattering_rate(beam, atom),
-            raman_suppression=raman_suppression,
-            intensity_averaging_factor=intensity_averaging_factor,
+            **factors,
         )
 
 
@@ -163,11 +157,12 @@ def beam_intensity(beam: GaussianBeam, r: float, z: float) -> float:
     return beam.peak_intensity * (beam.waist**2 / wz2) * np.exp(-2 * r**2 / wz2)
 
 
-def _check_red_detuned(beam: GaussianBeam, atom: AtomParams) -> None:
-    if beam.wavelength <= atom.wavelength_d1:
+def check_red_detuned(wavelength: float, atom: AtomParams) -> None:
+    """Raise ValueError unless a trap wavelength (m) is red of both D lines."""
+    if wavelength <= atom.wavelength_d1:
         raise ValueError(
             "two-line model requires the trap wavelength red of both D lines "
-            f"(got {beam.wavelength * 1e9:.1f} nm, D1 at {atom.wavelength_d1 * 1e9:.1f} nm)"
+            f"(got {wavelength * 1e9:.1f} nm, D1 at {atom.wavelength_d1 * 1e9:.1f} nm)"
         )
 
 
@@ -182,7 +177,7 @@ def trap_depth(beam: GaussianBeam, atom: AtomParams) -> float:
     Two-line model: sum over the D1 and D2 transitions with weights 1/3
     and 2/3, keeping both the co- and counter-rotating denominators.
     """
-    _check_red_detuned(beam, atom)
+    check_red_detuned(beam.wavelength, atom)
     omega = 2 * np.pi * c / beam.wavelength
     i0 = beam.peak_intensity
     depth = 0.0
@@ -198,7 +193,7 @@ def peak_scattering_rate(beam: GaussianBeam, atom: AtomParams) -> float:
     Same two-line model as trap_depth, with the squared amplitude of each
     line summed.
     """
-    _check_red_detuned(beam, atom)
+    check_red_detuned(beam.wavelength, atom)
     omega = 2 * np.pi * c / beam.wavelength
     i0 = beam.peak_intensity
     rate = 0.0

@@ -27,7 +27,8 @@ from .analysis import (
     fit_relaxation_joint,
 )
 from .kinetics import HyperfineRates, MotRates, gillespie_mot, magnetic_trap_survival
-from .sequence import PhysicsBundle, build_protocol, chain, compile_sequence, run_plan
+from .sequence import (PROTOCOL_DEFAULTS, PhysicsBundle, build_protocol, chain,
+                       compile_sequence, run_plan)
 from .signals import BurstModel, DetectorModel, PhotonTrace, synthesize_mot_trace
 
 __all__ = [
@@ -46,9 +47,6 @@ __all__ = [
 
 class ConfigError(ValueError):
     pass
-
-
-_DOPPLER_K = physics.AtomParams().doppler_temperature
 
 
 def finite(raw: str) -> float:
@@ -98,6 +96,19 @@ _loading_mode = _checked(str, lambda v: v in ("perfect", "geometric"),
                          "must be 'perfect' or 'geometric'")
 
 
+def _physical(check):
+    """finite, then check(value), the physics layer's own check: it raises ValueError."""
+    def parse(raw: str) -> float:
+        value = finite(raw)
+        check(value)
+        return value
+    return parse
+
+
+_cloud_radius = _physical(lambda r: physics.MotCloud(radius_r0=r))
+_red_detuned = _physical(lambda w: physics.check_red_detuned(w, physics.AtomParams()))
+
+
 def _schedule(raw: str) -> list[float]:
     times = [finite(x) for x in raw.split(",") if x.strip()]
     if not times or min(times) < 0:
@@ -108,6 +119,7 @@ def _schedule(raw: str) -> list[float]:
 # section -> key -> (default, parser); a parser converts the raw text and
 # raises ValueError with the reason when the value is out of range. kind is
 # required; the other defaults of None come from the kind's row of _KINDS.
+# Every default but the beam's is read from the model that owns it.
 _SCHEMA = {
     "experiment": {
         "kind": (None, str),
@@ -121,39 +133,36 @@ _SCHEMA = {
     "trap": {
         "power_w": (2.5, _positive),
         "waist_m": (5e-6, _positive),
-        "wavelength_m": (1.064e-6, _positive),
-        "raman_suppression": (90.0, _at_least_one),
-        "intensity_averaging_factor": (0.125, _unit_fraction),
-        "dipole_lifetime_s": (51.0, _positive),
-        "magnetic_lifetime_s": (51.0, _positive),
+        "wavelength_m": (1.064e-6, _red_detuned),
+        "raman_suppression": (physics.TrapModel.raman_suppression, _at_least_one),
+        "intensity_averaging_factor": (physics.TrapModel.intensity_averaging_factor,
+                                       _unit_fraction),
+        "dipole_lifetime_s": (PhysicsBundle.dipole_lifetime, _positive),
+        "magnetic_lifetime_s": (PhysicsBundle.magnetic_lifetime, _positive),
     },
     "mot": {
-        "loading_rate_per_s": (0.1, non_negative),
-        "one_body_loss_per_s": (0.02, non_negative),
-        "two_body_pair_rate_per_s": (0.0, non_negative),
-        "two_body_multiplicity": (2, _multiplicity),
-        "radius_m": (10e-6, _positive),
-        "temperature_k": (_DOPPLER_K, _positive),
+        "loading_rate_per_s": (MotRates.loading_rate_r, non_negative),
+        "one_body_loss_per_s": (MotRates.one_body_loss, non_negative),
+        "two_body_pair_rate_per_s": (MotRates.two_body_pair_rate, non_negative),
+        "two_body_multiplicity": (MotRates.two_body_loss_multiplicity, _multiplicity),
+        "radius_m": (physics.MotCloud.radius_r0, _cloud_radius),
+        "temperature_k": (physics.MotCloud.temperature, _positive),
     },
     "detector": {
-        "per_atom_rate_per_s": (1.6e4, non_negative),
-        "background_rate_per_s": (5e3, non_negative),
-        "bin_width_s": (0.1, _positive),
-        "overlap_suppression": (0.3, _fraction),
-        "dipole_stray_rate_per_s": (5e3, non_negative),
+        "per_atom_rate_per_s": (DetectorModel.per_atom_rate, non_negative),
+        "background_rate_per_s": (DetectorModel.background_rate, non_negative),
+        "bin_width_s": (DetectorModel.bin_width, _positive),
+        "overlap_suppression": (DetectorModel.overlap_suppression, _fraction),
+        "dipole_stray_rate_per_s": (DetectorModel.dipole_stray_rate, non_negative),
     },
     "burst": {
-        "mean_photons_per_atom": (3.0, non_negative),
-        "background_photons_per_window": (0.5, non_negative),
-        "burst_duration_s": (400e-6, _positive),
-        "detection_bin_s": (200e-6, _positive),
+        "mean_photons_per_atom": (BurstModel.mean_photons_per_atom, non_negative),
+        "background_photons_per_window": (BurstModel.background_photons_per_window,
+                                          non_negative),
+        "burst_duration_s": (BurstModel.burst_duration_mean, _positive),
+        "detection_bin_s": (BurstModel.detection_bin, _positive),
     },
-    "sequence": {
-        "overlap_s": (5e-3, _positive),
-        "delay_s": (8e-3, _positive),
-        "gap_s": (50e-6, _positive),
-        "window_s": (2e-3, _positive),
-    },
+    "sequence": {key: (default, _positive) for key, default in PROTOCOL_DEFAULTS.items()},
 }
 
 

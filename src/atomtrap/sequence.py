@@ -28,6 +28,7 @@ from .kinetics import (
     mot_endpoint,
 )
 from .signals import (
+    DETECTION_WINDOW_S,
     BurstModel,
     DetectorModel,
     PhotonTrace,
@@ -121,17 +122,31 @@ class Violation:
     message: str
 
 
+POCKELS_GAP_S = 50e-6
+HOLD_GRACE_S = 200e-6  # longest tolerated interval with no light and no field
+MIXED_STATE_P4 = 0.5  # F=4 probability of an atom in an unprepared hyperfine state
+
+# build_protocol's default durations (s), which the config's [sequence] rows share
+PROTOCOL_DEFAULTS = {
+    "overlap_s": 5e-3,  # MOT and dipole trap both on
+    "delay_s": 8e-3,  # between the two MOT lasers for state preparation
+    "gap_s": POCKELS_GAP_S,
+    "window_s": DETECTION_WINDOW_S,
+}
+
+
 def build_protocol(kind: str, **params) -> Sequence:
     """Canonical switching sequences of the few-atom experiment.
 
     kinds: transfer, recapture, prepare_f3, prepare_f4, detect, mot_monitor.
-    Durations (seconds): overlap_s (default 5 ms), delay_s (8 ms between the
-    two MOT lasers for state preparation), gap_s (50 us Pockels gap),
-    window_s (2 ms detection window), duration_s (MOT monitoring span).
+    Durations (seconds) default to PROTOCOL_DEFAULTS: overlap_s, delay_s,
+    gap_s (Pockels gap), window_s (detection window); and duration_s, the
+    MOT monitoring span, to 1 s.
     """
+    defaults = dict(PROTOCOL_DEFAULTS, duration_s=1.0)
 
-    def pop(name, default):
-        v = float(params.pop(name, default))
+    def pop(name):
+        v = float(params.pop(name, defaults[name]))
         if v <= 0:
             raise ValueError(f"{name} must be positive")
         return v
@@ -142,7 +157,7 @@ def build_protocol(kind: str, **params) -> Sequence:
         return Sequence(events, duration=duration, initial_state=dict(initial))
 
     if kind == "transfer":
-        ov = pop("overlap_s", 5e-3)
+        ov = pop("overlap_s")
         ev = [
             SequenceEvent(0.0, Channel.DIPOLE, True),
             SequenceEvent(ov, Channel.COOLING, False),
@@ -150,7 +165,7 @@ def build_protocol(kind: str, **params) -> Sequence:
         ]
         return done(ev, MOT_OPERATION, ov)
     if kind == "recapture":
-        ov = pop("overlap_s", 5e-3)
+        ov = pop("overlap_s")
         ev = [
             SequenceEvent(0.0, Channel.COOLING, True),
             SequenceEvent(0.0, Channel.REPUMPER, True),
@@ -158,8 +173,8 @@ def build_protocol(kind: str, **params) -> Sequence:
         ]
         return done(ev, DIPOLE_HOLD, ov)
     if kind in ("prepare_f3", "prepare_f4"):
-        ov = pop("overlap_s", 5e-3)
-        delay = pop("delay_s", 8e-3)
+        ov = pop("overlap_s")
+        delay = pop("delay_s")
         first, second = (
             (Channel.REPUMPER, Channel.COOLING)
             if kind == "prepare_f3"
@@ -172,8 +187,8 @@ def build_protocol(kind: str, **params) -> Sequence:
         ]
         return done(ev, MOT_OPERATION, ov + delay)
     if kind == "detect":
-        gap = pop("gap_s", 50e-6)
-        window = pop("window_s", 2e-3)
+        gap = pop("gap_s")
+        window = pop("window_s")
         ev = [
             SequenceEvent(0.0, Channel.DIPOLE, False),
             SequenceEvent(gap, Channel.DETECTION, True),
@@ -181,7 +196,7 @@ def build_protocol(kind: str, **params) -> Sequence:
         ]
         return done(ev, DIPOLE_HOLD, gap + window)
     if kind == "mot_monitor":
-        duration = pop("duration_s", 1.0)
+        duration = pop("duration_s")
         return done([], MOT_OPERATION, duration)
     raise ValueError(f"unknown protocol kind: {kind!r}")
 
@@ -206,11 +221,6 @@ def chain(*parts) -> Sequence:
     if initial is None:
         initial = dict(MOT_OPERATION)
     return Sequence(events, duration=offset, initial_state=initial)
-
-
-POCKELS_GAP_S = 50e-6
-HOLD_GRACE_S = 200e-6  # longest tolerated interval with no light and no field
-MIXED_STATE_P4 = 0.5  # F=4 probability of an atom in an unprepared hyperfine state
 
 
 def validate_sequence(seq: Sequence) -> list[Violation]:
@@ -501,7 +511,7 @@ def run_plan(
         elif cat == "detect":
             if n4 is None:
                 n4 = int(rng.binomial(n, MIXED_STATE_P4)) if n else 0
-            out.append((cat, synthesize_detection_burst(n4, n - n4, physics.burst, rng, window=dt)))
+            out.append((cat, synthesize_detection_burst(n4, physics.burst, rng, window=dt)))
             n4 = 0  # detection light pumps the atoms dark
         # 'gap': nothing happens on the Pockels-gap time scale
 
@@ -528,13 +538,15 @@ def sequence_to_csv(seq: Sequence) -> str:
     return buf.getvalue()
 
 
+def _on_off(word: str) -> bool:
+    if word not in ("on", "off"):
+        raise ValueError(f"state must be 'on' or 'off', got {word!r}")
+    return word == "on"
+
+
 def sequence_from_csv(text_or_path, initial_state=None) -> Sequence:
-    events = []
     times, channels, states = read_csv_table(
-        text_or_path, {"time_s": float, "channel": str, "state": str})
-    for t, ch, st in zip(times.tolist(), channels, states):
-        if st not in ("on", "off"):
-            raise ValueError(f"state must be 'on' or 'off', got {st!r}")
-        events.append(SequenceEvent(t, Channel(ch), st == "on"))
+        text_or_path, {"time_s": float, "channel": Channel, "state": _on_off})
+    events = list(map(SequenceEvent, times.tolist(), channels, states))
     kwargs = {} if initial_state is None else {"initial_state": dict(initial_state)}
     return Sequence(events, **kwargs)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,34 +74,36 @@ class BurstModel:
             raise ValueError("time scales must be positive")
 
 
+DETECTION_WINDOW_S = 2e-3  # the state-selective detection window, s
+
 # relative deviation of a bin spacing from the median that from_csv accepts;
 # to_csv writes enough digits to stay inside it
 BIN_SPACING_TOLERANCE = 0.01
 
 
 def _column(fields, kind):
-    """Text fields as one column of kind: a float or int array, or the str list.
+    """Text fields as one column of kind: a float or int array, or the list of kind(field).
 
     Raises ValueError when a field does not convert, or a float is not finite.
     """
-    if kind is str:
-        return fields
+    if kind not in (float, int):
+        return [kind(text) for text in fields]
     values = np.array(fields, dtype=kind)
     if kind is float and not np.isfinite(values).all():
         raise ValueError(f"{fields[int(np.argmin(np.isfinite(values)))]!r} is not a finite number")
     return values
 
 
-def read_csv_table(text_or_path, columns: dict[str, type]) -> list:
+def read_csv_table(text_or_path, columns: dict[str, Callable[[str], object]]) -> list:
     """The columns below the header of a CSV table, converted to their types.
 
     text_or_path is a text holding a newline, or a file path.
-    columns maps each header field, in order, to float, int or str; a float
-    or int column comes back as a numpy array, a str column as a list.
-    Raises ValueError, naming the source, when the header differs, a row
-    has a different number of fields than the header, or a field does not
-    convert to its column's type (floats must be finite); the last two name
-    the row as well.
+    columns maps each header field, in order, to float or int, whose columns
+    come back as numpy arrays, or to any callable that converts one field
+    (str, an Enum), whose column comes back as a list. Raises ValueError,
+    naming the source, when the header differs, a row has a different number
+    of fields than the header, or a field does not convert (the callable
+    raises ValueError; floats must be finite); the last two name the row too.
     """
     header = list(columns)
     if "\n" in str(text_or_path):
@@ -242,10 +245,9 @@ def synthesize_mot_trace(
 
 def synthesize_detection_burst(
     n_f4: int,
-    n_f3: int,
     model: BurstModel,
     rng: np.random.Generator,
-    window: float = 2e-3,
+    window: float = DETECTION_WINDOW_S,
 ) -> PhotonTrace:
     """Detection-window photon trace: bright F=4 bursts plus stray background.
 
@@ -254,8 +256,8 @@ def synthesize_detection_burst(
     envelope of scale burst_duration_mean, truncated to the window; F=3
     atoms stay dark. The background is Poisson and uniform in time.
     """
-    if n_f4 < 0 or n_f3 < 0:
-        raise ValueError("atom counts must be non-negative")
+    if n_f4 < 0:
+        raise ValueError("n_f4 must be non-negative")
     if window <= 0:
         raise ValueError("window must be positive")
     arrivals = []

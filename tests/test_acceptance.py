@@ -168,9 +168,9 @@ def test_criterion_09_burst_classifier(capsys):
     model = at.BurstModel()
     rng = at.run_stream(909, 0)
     n = 10**5
-    bright = sum(at.synthesize_detection_burst(1, 0, model, rng).counts.sum() >= 2
+    bright = sum(at.synthesize_detection_burst(1, model, rng).counts.sum() >= 2
                  for _ in range(n))
-    dark = sum(at.synthesize_detection_burst(0, 1, model, rng).counts.sum() >= 2
+    dark = sum(at.synthesize_detection_burst(0, model, rng).counts.sum() >= 2
                for _ in range(n))
     tpr, fpr = bright / n, dark / n
     # Closed-form Poisson tails P(K >= 2) at means 3.5 and 0.5.

@@ -274,6 +274,16 @@ class TestValidateSeq:
         assert code == 2
         assert f"{path}: row 2 has 2 fields, expected 3" in err
 
+    @pytest.mark.parametrize("row,reason", [
+        ("0.1,dipole,off", "column channel: 'dipole' is not a valid Channel"),
+        ("0.1,DIPOLE,maybe", "column state: state must be 'on' or 'off', got 'maybe'"),
+    ], ids=["channel", "state"])
+    def test_bad_word_is_data_error_naming_file_and_row(self, tmp_path, capsys, row, reason):
+        path = tmp_path / "s5.csv"
+        path.write_text(f"time_s,channel,state\n0.0,DIPOLE,on\n{row}\n")
+        code, out, err = run_cli(capsys, "validate-seq", str(path))
+        assert (code, out) == (2, "")
+        assert f"{path}: row 3, {reason}" in err
 
     def test_nan_event_time_is_data_error(self, tmp_path, capsys):
         # a transfer whose MOT lasers switch off at nan

@@ -4,6 +4,7 @@ loads no scipy."""
 
 import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -52,20 +53,23 @@ def test_simulation_layer_imports_nothing_above_it(module):
     assert not _imported_modules(source) & ABOVE
 
 
-def _reexports() -> dict[str, set[str]]:
-    """Names atomtrap/__init__.py imports, keyed by the sibling module they come from."""
-    found: dict[str, set[str]] = {}
-    for node in ast.parse((PACKAGE / "__init__.py").read_text()).body:
-        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
-            found.setdefault(node.module, set()).update(a.name for a in node.names)
-    return found
+# the modules whose __all__ the package re-exports
+PUBLIC = ("physics", "kinetics", "signals", "analysis", "sequence", "streams", "runner")
 
 
-@pytest.mark.parametrize("module", sorted(_reexports()))
+@pytest.mark.parametrize("module", PUBLIC)
 def test_package_reexports_exactly_the_module_all(module):
-    names = importlib.import_module(f"atomtrap.{module}").__all__
+    mod = importlib.import_module(f"atomtrap.{module}")
+    names = mod.__all__
     assert len(set(names)) == len(names)
-    assert _reexports()[module] == set(names)
+    assert all(getattr(atomtrap, name) is getattr(mod, name) for name in names)
+
+
+def test_package_namespace_is_the_union_of_the_module_alls():
+    exported = {name for name in dir(atomtrap) if not name.startswith("_")
+                and not inspect.ismodule(getattr(atomtrap, name))}
+    assert exported == {name for module in PUBLIC
+                        for name in importlib.import_module(f"atomtrap.{module}").__all__}
 
 
 def test_import_loads_no_scipy():

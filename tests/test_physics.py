@@ -18,7 +18,7 @@ from atomtrap import (
     peak_scattering_rate,
     trap_depth,
 )
-from atomtrap import physics, runner
+from atomtrap import physics
 
 CS = AtomParams()
 BEAM = GaussianBeam(power=2.5, waist=5e-6, wavelength=1.064e-6)
@@ -34,7 +34,7 @@ class TestConstants:
 
     def test_derived_defaults_unchanged(self):
         # the values the defaults had when the constants came from scipy.constants, as repr
-        assert runner._DOPPLER_K == 0.00012478031990752176
+        assert MotCloud.temperature == 0.00012478031990752176
         assert default_trap().depth_u0 == 2.389738433893725e-25
         assert effective_relaxation_rates(default_trap()).total == 0.2908413482412
 

@@ -79,6 +79,20 @@ class TestConfig:
             with pytest.raises(ConfigError, match=re.escape(reason)):
                 parse_config(MINIMAL + line + "\n")
 
+    @pytest.mark.parametrize("kind", ["lifetime", "magnetic_lifetime"])
+    @pytest.mark.parametrize("mode", ["perfect", "geometric"])
+    @pytest.mark.parametrize("line,message", [
+        ("[mot]\nradius_m = 200e-6", "bad value for mot.radius_m: '200e-6' "
+                                     "(radius_r0 outside the supported 1-100 um range)"),
+        ("[trap]\nwavelength_m = 8e-7", "bad value for trap.wavelength_m: '8e-7' (two-line "
+                                        "model requires the trap wavelength red of both D lines"),
+    ], ids=["radius", "wavelength"])
+    def test_value_the_physics_rejects_fails_at_parse(self, kind, mode, line, message):
+        # perfect loading never builds the cloud, magnetic_lifetime never the trap
+        with pytest.raises(ConfigError) as exc:
+            parse_config(f"[experiment]\nkind = {kind}\nloading_mode = {mode}\n{line}\n")
+        assert str(exc.value).startswith(message)
+
     def test_bad_loading_mode_names_key_raw_text_and_reason(self):
         with pytest.raises(ConfigError) as exc:
             parse_config(MINIMAL + "loading_mode = Geometric\n")

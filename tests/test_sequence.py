@@ -200,6 +200,16 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError):
             sequence_from_csv("time_s,channel,state\n0.0,COOLING,maybe\n")
 
+    @pytest.mark.parametrize("row,message", [
+        ("0.1,dipole,off", "<text>: row 3, column channel: 'dipole' is not a valid Channel"),
+        ("0.1,DIPOLE,maybe", "<text>: row 3, column state: state must be 'on' or 'off', "
+                             "got 'maybe'"),
+    ], ids=["channel", "state"])
+    def test_bad_word_names_row_and_column(self, row, message):
+        with pytest.raises(ValueError) as exc:
+            sequence_from_csv(f"time_s,channel,state\n0.0,DIPOLE,on\n{row}\n")
+        assert str(exc.value) == message
+
     @given(events=st.lists(st.tuples(st.floats(0.0, 1e4), st.sampled_from(list(Channel)),
                                      st.booleans()), max_size=20),
            initial=st.sampled_from([MOT_OPERATION, DIPOLE_HOLD]))

@@ -120,7 +120,7 @@ class TestDetectionBurst:
         model = BurstModel()
         rng = run_stream(8, 0)
         totals = np.array([
-            synthesize_detection_burst(0, 1, model, rng).counts.sum() for _ in range(20000)
+            synthesize_detection_burst(0, model, rng).counts.sum() for _ in range(20000)
         ])
         assert totals.mean() == pytest.approx(0.5, abs=0.02)
         assert totals.var(ddof=1) == pytest.approx(0.5, abs=0.05)
@@ -129,7 +129,7 @@ class TestDetectionBurst:
         model = BurstModel()
         rng = run_stream(9, 0)
         totals = np.array([
-            synthesize_detection_burst(3, 0, model, rng).counts.sum() for _ in range(20000)
+            synthesize_detection_burst(3, model, rng).counts.sum() for _ in range(20000)
         ])
         assert totals.mean() == pytest.approx(9.5, abs=0.1)
 
@@ -137,7 +137,7 @@ class TestDetectionBurst:
         model = BurstModel(mean_photons_per_atom=0.0)
         rng = run_stream(10, 0)
         totals = np.array([
-            synthesize_detection_burst(2, 0, model, rng).counts.sum() for _ in range(5000)
+            synthesize_detection_burst(2, model, rng).counts.sum() for _ in range(5000)
         ])
         assert totals.mean() == pytest.approx(0.5, abs=0.05)
 
@@ -147,7 +147,7 @@ class TestDetectionBurst:
         rng = run_stream(11, 0)
         acc = np.zeros(10, dtype=float)
         for _ in range(3000):
-            acc += synthesize_detection_burst(2, 0, model, rng,
+            acc += synthesize_detection_burst(2, model, rng,
                                               window=10 * model.detection_bin).counts
         assert acc[0] > acc[-1] * 2
 
@@ -155,14 +155,14 @@ class TestDetectionBurst:
         model = BurstModel(background_photons_per_window=0.0)
         rng = run_stream(12, 0)
         total = sum(
-            synthesize_detection_burst(0, 3, model, rng).counts.sum() for _ in range(2000)
+            synthesize_detection_burst(0, model, rng).counts.sum() for _ in range(2000)
         )
         assert total == 0
 
     def test_reproducible(self):
         model = BurstModel()
-        a = synthesize_detection_burst(2, 1, model, run_stream(13, 5))
-        b = synthesize_detection_burst(2, 1, model, run_stream(13, 5))
+        a = synthesize_detection_burst(2, model, run_stream(13, 5))
+        b = synthesize_detection_burst(2, model, run_stream(13, 5))
         assert np.array_equal(a.counts, b.counts)
 
 
@@ -272,6 +272,16 @@ class TestReadCsvTable:
         assert starts.dtype == float and starts.tolist() == [0.5, 1000.0]
         assert counts.dtype == np.int64 and counts.tolist() == [1, 2]
         assert list(words) == ["on", "off"]
+
+    def test_callable_column_names_the_row(self):
+        def parity(word):
+            if word not in ("even", "odd"):
+                raise ValueError(f"not a parity: {word!r}")
+            return word == "odd"
+        _, odd = read_csv_table("a,b\n0,odd\n1,even\n", {"a": float, "b": parity})
+        assert odd == [True, False]
+        with pytest.raises(ValueError, match=re.escape("<text>: row 3, column b: not a parity: 'x'")):
+            read_csv_table("a,b\n0,odd\n1,x\n", {"a": float, "b": parity})
 
     def test_empty_body_gives_empty_columns(self):
         starts, words = read_csv_table("a,b\n", {"a": float, "b": str})

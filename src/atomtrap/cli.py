@@ -20,7 +20,7 @@ from .analysis import (
     fit_relaxation_joint,
     infer_atom_numbers,
 )
-from .runner import (ConfigError, export_dataset, finite, load_config, non_negative,
+from .runner import (ConfigError, count, export_dataset, load_config, non_negative, positive,
                      run_experiment, seed)
 from .sequence import DIPOLE_HOLD, MOT_OPERATION, sequence_from_csv, validate_sequence
 from .signals import BurstModel, DetectorModel, PhotonTrace, read_csv_table
@@ -44,6 +44,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", default=None, help=what)
 
     p = sub.add_parser("simulate", help="run a configured experiment and export the dataset")
+    p.set_defaults(handler=_cmd_simulate)
     p.add_argument("config", help="INI experiment configuration file")
     p.add_argument("--seed", type=seed, default=None, help="override the master seed")
     p.add_argument("--format", choices=("csv", "json", "both"), default="both",
@@ -51,21 +52,27 @@ def _build_parser() -> _Parser:
     add_out(p, "output directory (default: the config's output_dir)")
 
     p = sub.add_parser("analyze", help="change-point segmentation of a photon trace CSV")
+    p.set_defaults(handler=_cmd_analyze)
     p.add_argument("trace", help="photon trace CSV (header: bin_start_s,counts)")
     p.add_argument("--penalty", type=non_negative, default=None,
                    help="log-likelihood penalty per change point (default 1.5*ln(n))")
-    p.add_argument("--per-atom-rate", type=finite, default=DetectorModel.per_atom_rate)
-    p.add_argument("--background-rate", type=finite, default=DetectorModel.background_rate)
+    p.add_argument("--per-atom-rate", type=positive, default=DetectorModel.per_atom_rate)
+    p.add_argument("--background-rate", type=non_negative,
+                   default=DetectorModel.background_rate)
     add_out(p)
 
     p = sub.add_parser("classify", help="posterior over bright atoms in a detection window")
-    p.add_argument("counts", type=int, help="photon counts in the detection window")
-    p.add_argument("--atoms", type=int, required=True, help="number of atoms in the trap")
-    p.add_argument("--mean-photons", type=finite, default=BurstModel.mean_photons_per_atom)
-    p.add_argument("--background", type=finite, default=BurstModel.background_photons_per_window)
+    p.set_defaults(handler=_cmd_classify)
+    p.add_argument("counts", type=count, help="photon counts in the detection window")
+    p.add_argument("--atoms", type=count, required=True, help="number of atoms in the trap")
+    p.add_argument("--mean-photons", type=non_negative,
+                   default=BurstModel.mean_photons_per_atom)
+    p.add_argument("--background", type=non_negative,
+                   default=BurstModel.background_photons_per_window)
     add_out(p)
 
     p = sub.add_parser("fit", help="maximum-likelihood fit of a dataset CSV")
+    p.set_defaults(handler=_cmd_fit)
     p.add_argument("data", nargs="+",
                    help="CSV file(s) with the header t_s,survived,total (survival) or "
                         "t_s,p4,n (relaxation), which simulate's exports do not have; "
@@ -75,11 +82,12 @@ def _build_parser() -> _Parser:
                    help="fit the survival amplitude instead of pinning it to 1")
     p.add_argument("--f-initial", type=int, choices=(3, 4), default=None,
                    help="prepared state for a single-arm relaxation fit")
-    p.add_argument("--bootstrap", type=int, default=0,
+    p.add_argument("--bootstrap", type=count, default=0,
                    help="number of parametric bootstrap resamples")
     add_out(p)
 
     p = sub.add_parser("validate-seq", help="check a switching-sequence CSV for violations")
+    p.set_defaults(handler=_cmd_validate_seq)
     p.add_argument("sequence", help="sequence CSV (header: time_s,channel,state)")
     p.add_argument("--initial-state", choices=("mot", "hold"), default="mot")
     add_out(p)
@@ -189,15 +197,8 @@ def _cmd_validate_seq(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "simulate": _cmd_simulate,
-        "analyze": _cmd_analyze,
-        "classify": _cmd_classify,
-        "fit": _cmd_fit,
-        "validate-seq": _cmd_validate_seq,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (ConfigError, FitError, OSError, ValueError) as exc:
         print(f"atomtrap: {exc}", file=sys.stderr)
         return DATA_EXIT

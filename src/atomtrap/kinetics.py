@@ -89,7 +89,7 @@ class StateTrajectory:
             raise ValueError("event times must be strictly increasing")
         if np.any(self.values < 0):
             raise ValueError("values must be non-negative")
-        if self.t_end < self.times[-1]:
+        if not self.t_end >= self.times[-1]:
             raise ValueError("t_end precedes the last event")
 
     def value_at(self, t: float) -> int:
@@ -115,8 +115,8 @@ def gillespie_mot(
     gamma*N, and two-body loss at rate beta*N(N-1)/2 removing the
     configured multiplicity (floored at zero atoms).
     """
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
+    if not 0 < t_max < np.inf:
+        raise ValueError("t_max must be positive and finite")
     if n0 < 0:
         raise ValueError("n0 must be non-negative")
     times = [0.0]

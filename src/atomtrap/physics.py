@@ -20,7 +20,6 @@ __all__ = [
     "TrapModel",
     "MotCloud",
     "FluorescenceBudget",
-    "beam_intensity",
     "trap_depth",
     "peak_scattering_rate",
     "fluorescence_budget",
@@ -44,7 +43,7 @@ class AtomParams:
     wavelength_d1: float = 894.6e-9  # m
 
     def __post_init__(self):
-        if self.linewidth_gamma <= 0:
+        if not self.linewidth_gamma > 0:
             raise ValueError("linewidth_gamma must be positive")
         if not (self.wavelength_d1 > self.wavelength_d2 > 0):
             raise ValueError("require wavelength_d1 > wavelength_d2 > 0")
@@ -65,26 +64,26 @@ class AtomParams:
 
 @dataclass(frozen=True)
 class GaussianBeam:
-    """Focused Gaussian beam: power (W), 1/e^2 intensity waist w0 (m), wavelength (m)."""
+    """Focused Gaussian beam: power (W), 1/e^2 intensity waist w0 (m), wavelength (m).
 
-    power: float
-    waist: float
-    wavelength: float
+    The defaults are the paper's trap: a 2.5 W Nd:YAG beam at 1064 nm
+    focused to a 5 um waist.
+    """
+
+    power: float = 2.5
+    waist: float = 5e-6
+    wavelength: float = 1.064e-6
 
     def __post_init__(self):
-        if self.power < 0:
+        if not self.power >= 0:
             raise ValueError("power must be non-negative")
-        if self.waist <= 0 or self.wavelength <= 0:
+        if not (self.waist > 0 and self.wavelength > 0):
             raise ValueError("waist and wavelength must be positive")
 
     @property
     def peak_intensity(self) -> float:
         """I0 = 2 P / (pi w0^2)."""
         return 2 * self.power / (np.pi * self.waist**2)
-
-    @property
-    def rayleigh_range(self) -> float:
-        return np.pi * self.waist**2 / self.wavelength
 
 
 @dataclass(frozen=True)
@@ -105,13 +104,13 @@ class TrapModel:
     intensity_averaging_factor: float = 0.125
 
     def __post_init__(self):
-        if self.depth_u0 <= 0:
+        if not self.depth_u0 > 0:
             raise ValueError("depth_u0 must be positive")
-        if self.waist <= 0:
+        if not self.waist > 0:
             raise ValueError("waist must be positive")
-        if self.peak_scattering_rate < 0:
+        if not self.peak_scattering_rate >= 0:
             raise ValueError("peak_scattering_rate must be non-negative")
-        if self.raman_suppression < 1:
+        if not self.raman_suppression >= 1:
             raise ValueError("raman_suppression must be >= 1")
         if not (0 < self.intensity_averaging_factor <= 1):
             raise ValueError("intensity_averaging_factor must be in (0, 1]")
@@ -137,7 +136,7 @@ class MotCloud:
     def __post_init__(self):
         if not (1e-6 <= self.radius_r0 <= 100e-6):
             raise ValueError("radius_r0 outside the supported 1-100 um range")
-        if self.temperature <= 0:
+        if not self.temperature > 0:
             raise ValueError("temperature must be positive")
 
     @property
@@ -149,12 +148,6 @@ class MotCloud:
 class FluorescenceBudget:
     emitted_power: float  # W
     detected_rate: float  # counts/s per atom
-
-
-def beam_intensity(beam: GaussianBeam, r: float, z: float) -> float:
-    """Intensity I(r, z) of the Gaussian beam, W/m^2."""
-    wz2 = beam.waist**2 * (1 + (z / beam.rayleigh_range) ** 2)
-    return beam.peak_intensity * (beam.waist**2 / wz2) * np.exp(-2 * r**2 / wz2)
 
 
 def check_red_detuned(wavelength: float, atom: AtomParams) -> None:

@@ -10,7 +10,6 @@ and independent of execution order.
 from __future__ import annotations
 
 import configparser
-import io
 import json
 import math
 import os
@@ -58,42 +57,29 @@ def finite(raw: str) -> float:
     return value
 
 
-def _checked(convert, ok, reason: str):
-    """A parser that converts the raw text, then raises ValueError(reason) unless ok(value)."""
+def _checked(convert, ok, reason: str, name: str):
+    """A parser that converts the raw text, then raises ValueError(reason)
+    unless ok(value); name is what argparse prints when a CLI option fails it."""
     def parse(raw: str):
         value = convert(raw)
         if not ok(value):
             raise ValueError(reason)
         return value
+    parse.__name__ = name
     return parse
 
 
-def non_negative(raw: str) -> float:
-    """finite, then >= 0; a def, not a _checked parser, because argparse
-    prints the type's name when a CLI option fails it."""
-    value = finite(raw)
-    if value < 0:
-        raise ValueError("must be non-negative")
-    return value
-
-
-def seed(raw: str) -> int:
-    """An integer in [0, 2**64), the Philox key; a def so that argparse names it."""
-    value = int(raw)
-    if not 0 <= value < 2**64:
-        raise ValueError("must be in [0, 2**64)")
-    return value
-
-
-_positive = _checked(finite, lambda v: v > 0, "must be positive")
-_fraction = _checked(finite, lambda v: 0 <= v <= 1, "must be in [0, 1]")
-_unit_fraction = _checked(finite, lambda v: 0 < v <= 1, "must be in (0, 1]")
-_at_least_one = _checked(finite, lambda v: v >= 1, "must be >= 1")
-_repetitions = _checked(int, lambda v: v >= 1, "must be >= 1")
-_atom_count = _checked(int, lambda v: v >= 0, "must be >= 0")
-_multiplicity = _checked(int, lambda v: v in (1, 2), "must be 1 or 2")
+positive = _checked(finite, lambda v: v > 0, "must be positive", "positive")
+non_negative = _checked(finite, lambda v: v >= 0, "must be non-negative", "non_negative")
+count = _checked(int, lambda v: v >= 0, "must be >= 0", "count")
+seed = _checked(int, lambda v: 0 <= v < 2**64, "must be in [0, 2**64)", "seed")
+_fraction = _checked(finite, lambda v: 0 <= v <= 1, "must be in [0, 1]", "fraction")
+_unit_fraction = _checked(finite, lambda v: 0 < v <= 1, "must be in (0, 1]", "unit_fraction")
+_at_least_one = _checked(finite, lambda v: v >= 1, "must be >= 1", "at_least_one")
+_repetitions = _checked(int, lambda v: v >= 1, "must be >= 1", "repetitions")
+_multiplicity = _checked(int, lambda v: v in (1, 2), "must be 1 or 2", "multiplicity")
 _loading_mode = _checked(str, lambda v: v in ("perfect", "geometric"),
-                         "must be 'perfect' or 'geometric'")
+                         "must be 'perfect' or 'geometric'", "loading_mode")
 
 
 def _physical(check):
@@ -116,54 +102,64 @@ def _schedule(raw: str) -> list[float]:
     return times
 
 
-# section -> key -> (default, parser); a parser converts the raw text and
-# raises ValueError with the reason when the value is out of range. kind is
-# required; the other defaults of None come from the kind's row of _KINDS.
-# Every default but the beam's is read from the model that owns it.
+# The [experiment] defaults by ExperimentConfig field. kind is required;
+# the other defaults of None come from the kind's row of _KINDS.
+_EXPERIMENT = {"kind": None, "master_seed": 0, "repetitions": None, "atoms_per_run": None,
+               "schedule": None, "output_dir": ".", "loading_mode": "perfect"}
+
+# section -> key -> (owner, field, parser). owner is the model class whose
+# field the key sets, or a dict of defaults keyed by field; the key's default
+# is that attribute or entry. A parser converts the raw text and raises
+# ValueError with the reason when the value is out of range.
 _SCHEMA = {
     "experiment": {
-        "kind": (None, str),
-        "master_seed": (0, seed),
-        "repetitions": (None, _repetitions),
-        "atoms_per_run": (None, _atom_count),
-        "schedule_s": (None, _schedule),
-        "output_dir": (".", str),
-        "loading_mode": ("perfect", _loading_mode),
+        "kind": (_EXPERIMENT, "kind", str),
+        "master_seed": (_EXPERIMENT, "master_seed", seed),
+        "repetitions": (_EXPERIMENT, "repetitions", _repetitions),
+        "atoms_per_run": (_EXPERIMENT, "atoms_per_run", count),
+        "schedule_s": (_EXPERIMENT, "schedule", _schedule),
+        "output_dir": (_EXPERIMENT, "output_dir", str),
+        "loading_mode": (_EXPERIMENT, "loading_mode", _loading_mode),
     },
     "trap": {
-        "power_w": (2.5, _positive),
-        "waist_m": (5e-6, _positive),
-        "wavelength_m": (1.064e-6, _red_detuned),
-        "raman_suppression": (physics.TrapModel.raman_suppression, _at_least_one),
-        "intensity_averaging_factor": (physics.TrapModel.intensity_averaging_factor,
+        "power_w": (physics.GaussianBeam, "power", positive),
+        "waist_m": (physics.GaussianBeam, "waist", positive),
+        "wavelength_m": (physics.GaussianBeam, "wavelength", _red_detuned),
+        "raman_suppression": (physics.TrapModel, "raman_suppression", _at_least_one),
+        "intensity_averaging_factor": (physics.TrapModel, "intensity_averaging_factor",
                                        _unit_fraction),
-        "dipole_lifetime_s": (PhysicsBundle.dipole_lifetime, _positive),
-        "magnetic_lifetime_s": (PhysicsBundle.magnetic_lifetime, _positive),
+        "dipole_lifetime_s": (PhysicsBundle, "dipole_lifetime", positive),
+        "magnetic_lifetime_s": (PhysicsBundle, "magnetic_lifetime", positive),
     },
     "mot": {
-        "loading_rate_per_s": (MotRates.loading_rate_r, non_negative),
-        "one_body_loss_per_s": (MotRates.one_body_loss, non_negative),
-        "two_body_pair_rate_per_s": (MotRates.two_body_pair_rate, non_negative),
-        "two_body_multiplicity": (MotRates.two_body_loss_multiplicity, _multiplicity),
-        "radius_m": (physics.MotCloud.radius_r0, _cloud_radius),
-        "temperature_k": (physics.MotCloud.temperature, _positive),
+        "loading_rate_per_s": (MotRates, "loading_rate_r", non_negative),
+        "one_body_loss_per_s": (MotRates, "one_body_loss", non_negative),
+        "two_body_pair_rate_per_s": (MotRates, "two_body_pair_rate", non_negative),
+        "two_body_multiplicity": (MotRates, "two_body_loss_multiplicity", _multiplicity),
+        "radius_m": (physics.MotCloud, "radius_r0", _cloud_radius),
+        "temperature_k": (physics.MotCloud, "temperature", positive),
     },
     "detector": {
-        "per_atom_rate_per_s": (DetectorModel.per_atom_rate, non_negative),
-        "background_rate_per_s": (DetectorModel.background_rate, non_negative),
-        "bin_width_s": (DetectorModel.bin_width, _positive),
-        "overlap_suppression": (DetectorModel.overlap_suppression, _fraction),
-        "dipole_stray_rate_per_s": (DetectorModel.dipole_stray_rate, non_negative),
+        "per_atom_rate_per_s": (DetectorModel, "per_atom_rate", non_negative),
+        "background_rate_per_s": (DetectorModel, "background_rate", non_negative),
+        "bin_width_s": (DetectorModel, "bin_width", positive),
+        "overlap_suppression": (DetectorModel, "overlap_suppression", _fraction),
+        "dipole_stray_rate_per_s": (DetectorModel, "dipole_stray_rate", non_negative),
     },
     "burst": {
-        "mean_photons_per_atom": (BurstModel.mean_photons_per_atom, non_negative),
-        "background_photons_per_window": (BurstModel.background_photons_per_window,
+        "mean_photons_per_atom": (BurstModel, "mean_photons_per_atom", non_negative),
+        "background_photons_per_window": (BurstModel, "background_photons_per_window",
                                           non_negative),
-        "burst_duration_s": (BurstModel.burst_duration_mean, _positive),
-        "detection_bin_s": (BurstModel.detection_bin, _positive),
+        "burst_duration_s": (BurstModel, "burst_duration_mean", positive),
+        "detection_bin_s": (BurstModel, "detection_bin", positive),
     },
-    "sequence": {key: (default, _positive) for key, default in PROTOCOL_DEFAULTS.items()},
+    "sequence": {key: (PROTOCOL_DEFAULTS, key, positive) for key in PROTOCOL_DEFAULTS},
 }
+
+
+def _default(owner, name: str):
+    """The default of a _SCHEMA row: the owner's entry or attribute name."""
+    return owner[name] if isinstance(owner, dict) else getattr(owner, name)
 
 
 @dataclass
@@ -181,56 +177,35 @@ class ExperimentConfig:
     burst: dict
     sequence: dict
 
+    def _fields(self, owner) -> dict:
+        """The values of the keys whose _SCHEMA row names owner, by field name."""
+        return {name: getattr(self, section)[key] for section, rows in _SCHEMA.items()
+                for key, (row_owner, name, _) in rows.items() if row_owner is owner}
+
     # -- derived physics objects ------------------------------------------
     def beam(self) -> physics.GaussianBeam:
-        return physics.GaussianBeam(
-            power=self.trap["power_w"],
-            waist=self.trap["waist_m"],
-            wavelength=self.trap["wavelength_m"],
-        )
+        return physics.GaussianBeam(**self._fields(physics.GaussianBeam))
 
     def trap_model(self) -> physics.TrapModel:
-        return physics.TrapModel.from_beam(
-            self.beam(),
-            physics.AtomParams(),
-            raman_suppression=self.trap["raman_suppression"],
-            intensity_averaging_factor=self.trap["intensity_averaging_factor"],
-        )
+        return physics.TrapModel.from_beam(self.beam(), physics.AtomParams(),
+                                           **self._fields(physics.TrapModel))
 
     def hyperfine_rates(self) -> HyperfineRates:
         return physics.effective_relaxation_rates(self.trap_model())
 
     def mot_rates(self) -> MotRates:
-        return MotRates(
-            loading_rate_r=self.mot["loading_rate_per_s"],
-            one_body_loss=self.mot["one_body_loss_per_s"],
-            two_body_pair_rate=self.mot["two_body_pair_rate_per_s"],
-            two_body_loss_multiplicity=self.mot["two_body_multiplicity"],
-        )
+        return MotRates(**self._fields(MotRates))
 
     def detector_model(self) -> DetectorModel:
-        return DetectorModel(
-            per_atom_rate=self.detector["per_atom_rate_per_s"],
-            background_rate=self.detector["background_rate_per_s"],
-            bin_width=self.detector["bin_width_s"],
-            overlap_suppression=self.detector["overlap_suppression"],
-            dipole_stray_rate=self.detector["dipole_stray_rate_per_s"],
-        )
+        return DetectorModel(**self._fields(DetectorModel))
 
     def burst_model(self) -> BurstModel:
-        return BurstModel(
-            mean_photons_per_atom=self.burst["mean_photons_per_atom"],
-            background_photons_per_window=self.burst["background_photons_per_window"],
-            burst_duration_mean=self.burst["burst_duration_s"],
-            detection_bin=self.burst["detection_bin_s"],
-        )
+        return BurstModel(**self._fields(BurstModel))
 
     def loading_efficiency(self) -> float:
         if self.loading_mode == "perfect":
             return 1.0
-        cloud = physics.MotCloud(
-            radius_r0=self.mot["radius_m"], temperature=self.mot["temperature_k"]
-        )
+        cloud = physics.MotCloud(**self._fields(physics.MotCloud))
         trap = self.trap_model()
         return physics.geometric_loading_efficiency(
             cloud.kinetic_energy, trap.depth_u0, trap.waist, cloud.radius_r0
@@ -242,9 +217,8 @@ class ExperimentConfig:
             hyperfine=self.hyperfine_rates(),
             detector=self.detector_model(),
             burst=self.burst_model(),
-            dipole_lifetime=self.trap["dipole_lifetime_s"],
-            magnetic_lifetime=self.trap["magnetic_lifetime_s"],
             loading_efficiency=self.loading_efficiency(),
+            **self._fields(PhysicsBundle),
         )
 
 
@@ -263,11 +237,11 @@ def parse_config(text: str) -> ExperimentConfig:
         for key in parser[section]:
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]")
-    for section, keys in _SCHEMA.items():
+    for section, rows in _SCHEMA.items():
         values[section] = {}
-        for key, (default, parse) in keys.items():
+        for key, (owner, name, parse) in rows.items():
             if not parser.has_option(section, key):
-                values[section][key] = default
+                values[section][key] = _default(owner, name)
                 continue
             raw = parser.get(section, key)
             try:
@@ -275,7 +249,8 @@ def parse_config(text: str) -> ExperimentConfig:
             except ValueError as exc:
                 raise ConfigError(f"bad value for {section}.{key}: {raw!r} ({exc})") from exc
 
-    exp = values["experiment"]
+    given = values.pop("experiment")
+    exp = {name: given[key] for key, (_, name, _) in _SCHEMA["experiment"].items()}
     kind = exp["kind"]
     if kind is None:
         raise ConfigError("missing required key experiment.kind")
@@ -283,31 +258,19 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"unknown experiment kind {kind!r}; expected one of {EXPERIMENT_KINDS}")
 
     _, sched_default, reps_default, atoms_default = _KINDS[kind]
-    schedule = exp["schedule_s"]
-    if schedule is None:
-        schedule = [float(t) for t in sched_default]
-    repetitions = exp["repetitions"] if exp["repetitions"] is not None else reps_default
-    if reps_default == 1 and repetitions != 1:
-        raise ConfigError(f"experiment.repetitions must be 1 for {kind}, got {repetitions}")
-    if reps_default == 1 and len(schedule) != 1:
+    if exp["schedule"] is None:
+        exp["schedule"] = [float(t) for t in sched_default]
+    if exp["repetitions"] is None:
+        exp["repetitions"] = reps_default
+    if exp["atoms_per_run"] is None:
+        exp["atoms_per_run"] = atoms_default
+    if reps_default == 1 and exp["repetitions"] != 1:
         raise ConfigError(
-            f"experiment.schedule_s must hold one time for {kind}, got {len(schedule)}")
-    atoms_per_run = exp["atoms_per_run"] if exp["atoms_per_run"] is not None else atoms_default
-
-    return ExperimentConfig(
-        kind=kind,
-        master_seed=exp["master_seed"],
-        repetitions=repetitions,
-        atoms_per_run=atoms_per_run,
-        schedule=schedule,
-        output_dir=exp["output_dir"],
-        loading_mode=exp["loading_mode"],
-        trap=values["trap"],
-        mot=values["mot"],
-        detector=values["detector"],
-        burst=values["burst"],
-        sequence=values["sequence"],
-    )
+            f"experiment.repetitions must be 1 for {kind}, got {exp['repetitions']}")
+    if reps_default == 1 and len(exp["schedule"]) != 1:
+        raise ConfigError(
+            f"experiment.schedule_s must hold one time for {kind}, got {len(exp['schedule'])}")
+    return ExperimentConfig(**exp, **values)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -316,21 +279,23 @@ def load_config(path) -> ExperimentConfig:
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
-    """Echo of the full effective configuration, including applied defaults."""
-    out = io.StringIO()
-    out.write("[experiment]\n")
-    out.write(f"kind = {cfg.kind}\n")
-    out.write(f"master_seed = {cfg.master_seed}\n")
-    out.write(f"repetitions = {cfg.repetitions}\n")
-    out.write(f"atoms_per_run = {cfg.atoms_per_run}\n")
-    out.write(f"schedule_s = {','.join(repr(t) for t in cfg.schedule)}\n")
-    out.write(f"output_dir = {cfg.output_dir}\n")
-    out.write(f"loading_mode = {cfg.loading_mode}\n")
-    for section in ("trap", "mot", "detector", "burst", "sequence"):
-        out.write(f"\n[{section}]\n")
-        for key, value in getattr(cfg, section).items():
-            out.write(f"{key} = {value!r}\n")
-    return out.getvalue()
+    """Echo of the full effective configuration, including applied defaults.
+
+    A list is written as its comma-joined reprs, a str as itself, anything
+    else as its repr.
+    """
+    blocks = []
+    for section, rows in _SCHEMA.items():
+        lines = [f"[{section}]\n"]
+        for key, (_, name, _) in rows.items():
+            value = getattr(cfg, name) if section == "experiment" else getattr(cfg, section)[key]
+            if isinstance(value, list):
+                value = ",".join(map(repr, value))
+            elif not isinstance(value, str):
+                value = repr(value)
+            lines.append(f"{key} = {value}\n")
+        blocks.append("".join(lines))
+    return "\n".join(blocks)
 
 
 @dataclass

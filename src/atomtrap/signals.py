@@ -150,7 +150,7 @@ class PhotonTrace:
 
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=np.int64)
-        if self.bin_width <= 0:
+        if not self.bin_width > 0:
             raise ValueError("bin_width must be positive")
         if self.counts.ndim != 1 or len(self.counts) == 0:
             raise ValueError("counts must be a non-empty 1-D array")

@@ -99,8 +99,6 @@ class TestClassify:
     @pytest.mark.parametrize("counts, atoms, mean, message", [
         ("3", "1", "0", "3 counts are impossible"),
         ("3", "0", "3", "3 counts are impossible"),
-        ("-1", "1", "3", "window_counts must be non-negative"),
-        ("1", "-1", "3", "n_atoms must be non-negative"),
     ])
     def test_invalid_counts_are_data_error(self, capsys, counts, atoms, mean, message):
         code, out, err = run_cli(capsys, "classify", counts, "--atoms", atoms,
@@ -200,7 +198,7 @@ class TestFit:
         assert rec["n_points"] == fit.n_points == 3
         assert rec["bootstrap_errors"] == [fit.bootstrap_errors["tau"]]
 
-    @pytest.mark.parametrize("count", ["5", "-3"])
+    @pytest.mark.parametrize("count", ["1", "5", "9"])
     def test_too_few_bootstrap_resamples_is_data_error(self, tmp_path, capsys, count):
         path = tmp_path / "surv.csv"
         path.write_text(SURVIVAL_CSV)
@@ -363,8 +361,30 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main([*argv, f"{option}={value}"])
         assert exc.value.code == 1
-        parser = "non_negative" if option == "--penalty" else "finite"
+        parser = "positive" if option == "--per-atom-rate" else "non_negative"
         assert f"argument {option}: invalid {parser} value: '{value}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, argument, parser, value", [
+        (("classify", "-1", "--atoms", "1"), "counts", "count", "-1"),
+        (("classify", "1", "--atoms=-1"), "--atoms", "count", "-1"),
+        (("classify", "1", "--atoms", "1", "--mean-photons=-1"), "--mean-photons",
+         "non_negative", "-1"),
+        (("classify", "1", "--atoms", "1", "--background=-0.5"), "--background",
+         "non_negative", "-0.5"),
+        (("analyze", "trace.csv", "--per-atom-rate=0"), "--per-atom-rate", "positive", "0"),
+        (("analyze", "trace.csv", "--per-atom-rate=-1"), "--per-atom-rate", "positive", "-1"),
+        (("analyze", "trace.csv", "--background-rate=-1"), "--background-rate",
+         "non_negative", "-1"),
+        (("fit", "data.csv", "--model", "survival", "--bootstrap=-1"), "--bootstrap",
+         "count", "-1"),
+    ])
+    def test_out_of_range_option_is_usage_error(self, argv, argument, parser, value, capsys):
+        # rejected while parsing, before any input file is read, and named
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 1
+        assert (f"argument {argument}: invalid {parser} value: '{value}'"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("value", ["-1", str(2**64)])
     def test_seed_out_of_range_is_usage_error(self, value, capsys):

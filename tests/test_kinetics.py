@@ -119,6 +119,27 @@ class TestGillespie:
         with pytest.raises(ValueError):
             MotRates(two_body_loss_multiplicity=3)
 
+    @pytest.mark.parametrize("t_max", [float("nan"), float("inf")])
+    def test_non_finite_t_max_rejected(self, t_max):
+        # the event loop ends only when an event falls past t_max, which never
+        # happens for nan and, at R > 0, for inf; a bounded stream turns a
+        # loop that would never return into a failure
+        class BoundedStream:
+            def __init__(self, rng, limit=10_000):
+                self.rng, self.left = rng, limit
+
+            def exponential(self, scale):
+                self.left -= 1
+                if self.left < 0:
+                    raise RuntimeError("gillespie_mot did not stop")
+                return self.rng.exponential(scale)
+
+            def random(self):
+                return self.rng.random()
+
+        with pytest.raises(ValueError, match="t_max"):
+            gillespie_mot(MotRates(), 0, t_max, BoundedStream(run_stream(1, 0)))
+
 
 class TestSurvival:
     def test_zero_hold(self):

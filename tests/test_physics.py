@@ -8,9 +8,10 @@ from atomtrap import (
     AtomParams,
     GaussianBeam,
     MotCloud,
+    PhotonTrace,
+    StateTrajectory,
     TrapModel,
     amplitude_for_factor,
-    beam_intensity,
     effective_relaxation_rates,
     fluorescence_budget,
     geometric_loading_efficiency,
@@ -62,17 +63,39 @@ class TestGaussianBeam:
         # I0 = 2P/(pi w0^2) = 6.37e10 W/m^2 at the default parameters
         assert BEAM.peak_intensity == pytest.approx(6.366e10, rel=1e-3)
 
-    def test_intensity_profile(self):
-        i0 = BEAM.peak_intensity
-        assert beam_intensity(BEAM, 0, 0) == pytest.approx(i0)
-        assert beam_intensity(BEAM, BEAM.waist, 0) == pytest.approx(i0 * np.exp(-2))
-        assert beam_intensity(BEAM, 0, BEAM.rayleigh_range) == pytest.approx(i0 / 2)
-
     def test_invalid(self):
         with pytest.raises(ValueError):
             GaussianBeam(power=-1, waist=5e-6, wavelength=1e-6)
         with pytest.raises(ValueError):
             GaussianBeam(power=1, waist=0, wavelength=1e-6)
+
+    def test_defaults_are_the_paper_beam(self):
+        assert GaussianBeam() == BEAM
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: GaussianBeam(power=NAN, waist=5e-6, wavelength=1.064e-6),
+    lambda: GaussianBeam(power=2.5, waist=NAN, wavelength=1.064e-6),
+    lambda: GaussianBeam(power=2.5, waist=5e-6, wavelength=NAN),
+    lambda: TrapModel(depth_u0=NAN, waist=5e-6, peak_scattering_rate=1.0),
+    lambda: TrapModel(depth_u0=1e-25, waist=NAN, peak_scattering_rate=1.0),
+    lambda: TrapModel(depth_u0=1e-25, waist=5e-6, peak_scattering_rate=NAN),
+    lambda: TrapModel(depth_u0=1e-25, waist=5e-6, peak_scattering_rate=1.0,
+                      raman_suppression=NAN),
+    lambda: AtomParams(linewidth_gamma=NAN),
+    lambda: MotCloud(temperature=NAN),
+    lambda: PhotonTrace(0.0, NAN, [1, 2]),
+    lambda: StateTrajectory([0.0, 1.0], [0, 1], t_end=NAN),
+], ids=["beam.power", "beam.waist", "beam.wavelength", "trap.depth_u0", "trap.waist",
+        "trap.peak_scattering_rate", "trap.raman_suppression", "atom.linewidth_gamma",
+        "cloud.temperature", "trace.bin_width", "trajectory.t_end"])
+def test_nan_model_parameter_rejected(build):
+    # a NaN fails every comparison, so each check must be written "not x > 0"
+    with pytest.raises(ValueError):
+        build()
 
 
 class TestTrapDepth:

@@ -9,12 +9,18 @@ from hypothesis import strategies as st
 
 from atomtrap import (
     EXPERIMENT_KINDS,
+    AtomParams,
     BurstModel,
     ConfigError,
     DetectorModel,
+    GaussianBeam,
+    MotCloud,
     MotRates,
+    PhysicsBundle,
+    TrapModel,
     classify_burst,
     export_dataset,
+    geometric_loading_efficiency,
     load_config,
     load_dataset_json,
     parse_config,
@@ -26,8 +32,9 @@ from atomtrap import runner
 MINIMAL = "[experiment]\nkind = lifetime\n"
 
 # every float key of the schema, with the section it belongs to
-_FLOAT_KEYS = [(section, key) for section, keys in runner._SCHEMA.items()
-               for key, (default, _) in keys.items() if isinstance(default, float)]
+_FLOAT_KEYS = [(section, key) for section, rows in runner._SCHEMA.items()
+               for key, (owner, name, _) in rows.items()
+               if isinstance(runner._default(owner, name), float)]
 
 
 class TestConfig:
@@ -194,9 +201,18 @@ class TestConfig:
 
     def test_config_defaults_are_the_model_defaults(self):
         cfg = parse_config(MINIMAL)
+        assert cfg.beam() == GaussianBeam()
+        assert cfg.trap_model() == TrapModel.from_beam(GaussianBeam(), AtomParams())
         assert cfg.detector_model() == DetectorModel()
         assert cfg.burst_model() == BurstModel()
         assert cfg.mot_rates() == MotRates()
+        bundle = cfg.physics_bundle()
+        assert (bundle.dipole_lifetime, bundle.magnetic_lifetime) == (
+            PhysicsBundle.dipole_lifetime, PhysicsBundle.magnetic_lifetime)
+        cloud, trap = MotCloud(), cfg.trap_model()
+        assert parse_config(MINIMAL + "loading_mode = geometric\n").loading_efficiency() == (
+            geometric_loading_efficiency(cloud.kinetic_energy, trap.depth_u0, trap.waist,
+                                         cloud.radius_r0))
 
 
 def small(kind, seed=5, **extra):

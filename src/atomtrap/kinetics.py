@@ -200,7 +200,7 @@ def analytic_occupation(f_initial: int, rates: HyperfineRates, t) -> float:
     if f_initial not in (3, 4):
         raise ValueError("f_initial must be 3 or 4")
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
+    if not np.all(t >= 0):
         raise ValueError("t must be non-negative")
     out = _occupations(rates, t)[0 if f_initial == 4 else 1]
     return float(out) if out.ndim == 0 else out

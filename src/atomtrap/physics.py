@@ -152,7 +152,7 @@ class FluorescenceBudget:
 
 def check_red_detuned(wavelength: float, atom: AtomParams) -> None:
     """Raise ValueError unless a trap wavelength (m) is red of both D lines."""
-    if wavelength <= atom.wavelength_d1:
+    if not wavelength > atom.wavelength_d1:
         raise ValueError(
             "two-line model requires the trap wavelength red of both D lines "
             f"(got {wavelength * 1e9:.1f} nm, D1 at {atom.wavelength_d1 * 1e9:.1f} nm)"
@@ -217,9 +217,9 @@ def geometric_loading_efficiency(e_kin: float, u0: float, w0: float, r0: float) 
     P = 1 - (E_kin/U)^(w0^2/r0^2) for E_kin < U, else 0. w0 and r0 are the
     1/e radii of the dipole trap and the MOT cloud.
     """
-    if u0 <= 0 or w0 <= 0 or r0 <= 0:
+    if not (u0 > 0 and w0 > 0 and r0 > 0):
         raise ValueError("u0, w0 and r0 must be positive")
-    if e_kin < 0:
+    if not e_kin >= 0:
         raise ValueError("e_kin must be non-negative")
     if e_kin >= u0:
         return 0.0
@@ -234,7 +234,7 @@ def intensity_averaging_factor(amplitude: float, trap: TrapModel, order: int = 2
     which removes the inverse-square-root turning-point singularity, and then
     integrates with `order`-point Gauss-Legendre nodes.
     """
-    if amplitude < 0:
+    if not amplitude >= 0:
         raise ValueError("amplitude must be non-negative")
     if amplitude == 0:
         return 1.0

@@ -73,7 +73,6 @@ positive = _checked(finite, lambda v: v > 0, "must be positive", "positive")
 non_negative = _checked(finite, lambda v: v >= 0, "must be non-negative", "non_negative")
 count = _checked(int, lambda v: v >= 0, "must be >= 0", "count")
 seed = _checked(int, lambda v: 0 <= v < 2**64, "must be in [0, 2**64)", "seed")
-_fraction = _checked(finite, lambda v: 0 <= v <= 1, "must be in [0, 1]", "fraction")
 _unit_fraction = _checked(finite, lambda v: 0 < v <= 1, "must be in (0, 1]", "unit_fraction")
 _at_least_one = _checked(finite, lambda v: v >= 1, "must be >= 1", "at_least_one")
 _repetitions = _checked(int, lambda v: v >= 1, "must be >= 1", "repetitions")
@@ -143,8 +142,6 @@ _SCHEMA = {
         "per_atom_rate_per_s": (DetectorModel, "per_atom_rate", non_negative),
         "background_rate_per_s": (DetectorModel, "background_rate", non_negative),
         "bin_width_s": (DetectorModel, "bin_width", positive),
-        "overlap_suppression": (DetectorModel, "overlap_suppression", _fraction),
-        "dipole_stray_rate_per_s": (DetectorModel, "dipole_stray_rate", non_negative),
     },
     "burst": {
         "mean_photons_per_atom": (BurstModel, "mean_photons_per_atom", non_negative),
@@ -348,20 +345,16 @@ def _survival_experiment(cfg: ExperimentConfig) -> Dataset:
     """Survival against hold time: magnetic-trap holds, or transfer -> hold -> recapture.
 
     A magnetic run applies the spin projection then exponential decay to the
-    loaded atoms and counts against the atoms per run; a dipole run counts
-    recaptured against prepared atoms. lifetime and magnetic_lifetime fit
-    the decay.
+    atoms per run, which no dipole-trap transfer loads, and counts against
+    them; a dipole run counts recaptured against prepared atoms. lifetime
+    and magnetic_lifetime fit the decay.
     """
     if cfg.kind == "magnetic_lifetime":
-        tau = cfg.trap["magnetic_lifetime_s"]
-        load_p = cfg.loading_efficiency()
+        tau, n0 = cfg.trap["magnetic_lifetime_s"], cfg.atoms_per_run
 
         def runs_at(t_hold):
             def run(rng):
-                n0 = cfg.atoms_per_run
-                if load_p < 1.0 and n0:
-                    n0 = int(rng.binomial(n0, load_p))
-                return magnetic_trap_survival(n0, tau, t_hold, rng), cfg.atoms_per_run
+                return magnetic_trap_survival(n0, tau, t_hold, rng), n0
             return run
     else:
         bundle = cfg.physics_bundle()
@@ -399,7 +392,7 @@ def _detect_arm(cfg: ExperimentConfig, bundle: PhysicsBundle, f_init: int, t_hol
     plan = compile_sequence(chain(
         build_protocol(f"prepare_f{f_init}", overlap_s=seqp["overlap_s"], delay_s=seqp["delay_s"]),
         t_hold,
-        build_protocol("detect", gap_s=seqp["gap_s"], window_s=seqp["window_s"]),
+        build_protocol("detect", window_s=seqp["window_s"]),
     ))
 
     def run(rng):
@@ -541,11 +534,9 @@ def dataset_to_json(ds: Dataset) -> str:
 def export_dataset(ds: Dataset, out_dir: str, formats=("csv", "json")) -> list[str]:
     """Write the dataset; returns the list of file paths written.
 
-    Files are named after the experiment kind. Output directory precedence:
-    ATOMTRAP_OUTPUT_DIR environment variable, then the out_dir argument.
+    Files are named after the experiment kind and written to out_dir.
     Writes are atomic (temp file + rename).
     """
-    out_dir = os.environ.get("ATOMTRAP_OUTPUT_DIR", out_dir)
     written = []
     for fmt in formats:
         if fmt == "csv":

@@ -27,6 +27,7 @@ from .kinetics import (
     magnetic_trap_survival,
     mot_endpoint,
 )
+from .physics import AtomParams, GaussianBeam, TrapModel, effective_relaxation_rates
 from .signals import (
     DETECTION_WINDOW_S,
     BurstModel,
@@ -130,7 +131,6 @@ MIXED_STATE_P4 = 0.5  # F=4 probability of an atom in an unprepared hyperfine st
 PROTOCOL_DEFAULTS = {
     "overlap_s": 5e-3,  # MOT and dipole trap both on
     "delay_s": 8e-3,  # between the two MOT lasers for state preparation
-    "gap_s": POCKELS_GAP_S,
     "window_s": DETECTION_WINDOW_S,
 }
 
@@ -140,10 +140,10 @@ def build_protocol(kind: str, **params) -> Sequence:
 
     kinds: transfer, recapture, prepare_f3, prepare_f4, detect, mot_monitor.
     Durations (seconds) default to PROTOCOL_DEFAULTS: overlap_s, delay_s,
-    gap_s (Pockels gap), window_s (detection window); and duration_s, the
-    MOT monitoring span, to 1 s.
+    window_s (detection window); gap_s, the Pockels gap, to POCKELS_GAP_S;
+    and duration_s, the MOT monitoring span, to 1 s.
     """
-    defaults = dict(PROTOCOL_DEFAULTS, duration_s=1.0)
+    defaults = dict(PROTOCOL_DEFAULTS, gap_s=POCKELS_GAP_S, duration_s=1.0)
 
     def pop(name):
         v = float(params.pop(name, defaults[name]))
@@ -237,11 +237,12 @@ def validate_sequence(seq: Sequence) -> list[Violation]:
 
 @dataclass
 class PhysicsBundle:
-    """Everything simulate_sequence needs to know about the apparatus."""
+    """Everything simulate_sequence needs to know about the apparatus; the
+    defaults are those of the default config."""
 
     mot_rates: MotRates = field(default_factory=MotRates)
-    hyperfine: HyperfineRates = field(default_factory=lambda: HyperfineRates(
-        r_4to3=7.0 / 16.0 * 0.2639, r_3to4=9.0 / 16.0 * 0.2639))
+    hyperfine: HyperfineRates = field(default_factory=lambda: effective_relaxation_rates(
+        TrapModel.from_beam(GaussianBeam(), AtomParams())))
     detector: DetectorModel = field(default_factory=DetectorModel)
     burst: BurstModel = field(default_factory=BurstModel)
     dipole_lifetime: float = 51.0

@@ -7,11 +7,13 @@ from scipy import constants as const
 from atomtrap import (
     AtomParams,
     GaussianBeam,
+    HyperfineRates,
     MotCloud,
     PhotonTrace,
     StateTrajectory,
     TrapModel,
     amplitude_for_factor,
+    analytic_occupation,
     effective_relaxation_rates,
     fluorescence_budget,
     geometric_loading_efficiency,
@@ -295,3 +297,22 @@ class TestRelaxationRates:
         trap = self.reference_trap()
         rr = effective_relaxation_rates(trap)
         assert trap.peak_scattering_rate / rr.total == pytest.approx(720, rel=1e-9)
+
+
+NAN = float("nan")
+_NAN_CALLS = {
+    "loading_e_kin": lambda: geometric_loading_efficiency(NAN, 1e-25, 5e-6, 1e-5),
+    "loading_u0": lambda: geometric_loading_efficiency(1e-27, NAN, 5e-6, 1e-5),
+    "loading_w0": lambda: geometric_loading_efficiency(1e-27, 1e-25, NAN, 1e-5),
+    "loading_r0": lambda: geometric_loading_efficiency(1e-27, 1e-25, 5e-6, NAN),
+    "averaging_amplitude": lambda: intensity_averaging_factor(NAN, default_trap()),
+    "occupation_t": lambda: analytic_occupation(4, HyperfineRates(0.1, 0.1), NAN),
+    "red_detuned": lambda: physics.check_red_detuned(NAN, CS),
+}
+
+
+@pytest.mark.parametrize("call", _NAN_CALLS.values(), ids=list(_NAN_CALLS))
+def test_nan_argument_rejected(call):
+    # nan fails no "x < 0" test, so each check must be one that nan fails
+    with pytest.raises(ValueError):
+        call()

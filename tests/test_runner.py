@@ -157,10 +157,6 @@ class TestConfig:
             "[mot]",
             f"loading_rate_per_s = {data.draw(st.floats(0.0, 1e3))!r}",
             f"two_body_multiplicity = {data.draw(st.sampled_from([1, 2]))}",
-            "[detector]",
-            f"overlap_suppression = {data.draw(st.floats(0.0, 1.0))!r}",
-            "[sequence]",
-            f"gap_s = {data.draw(st.floats(1e-7, 1e-3))!r}",
         ]
         cfg = parse_config("\n".join(lines) + "\n")
         assert cfg.schedule == schedule
@@ -206,9 +202,7 @@ class TestConfig:
         assert cfg.detector_model() == DetectorModel()
         assert cfg.burst_model() == BurstModel()
         assert cfg.mot_rates() == MotRates()
-        bundle = cfg.physics_bundle()
-        assert (bundle.dipole_lifetime, bundle.magnetic_lifetime) == (
-            PhysicsBundle.dipole_lifetime, PhysicsBundle.magnetic_lifetime)
+        assert cfg.physics_bundle() == PhysicsBundle()
         cloud, trap = MotCloud(), cfg.trap_model()
         assert parse_config(MINIMAL + "loading_mode = geometric\n").loading_efficiency() == (
             geometric_loading_efficiency(cloud.kinetic_energy, trap.depth_u0, trap.waist,
@@ -220,6 +214,18 @@ def small(kind, seed=5, **extra):
     for k, v in extra.items():
         lines.append(f"{k} = {v}")
     return parse_config("\n".join(lines) + "\n")
+
+
+def _exports(cfg, out_dir) -> dict:
+    """Every export of cfg's run by file name, a JSON one without its config echo."""
+    files = {}
+    for path in export_dataset(run_experiment(cfg), str(out_dir)):
+        with open(path) as fh:
+            text = fh.read()
+        if path.endswith(".json"):
+            text = {k: v for k, v in json.loads(text).items() if k != "config_echo"}
+        files[os.path.basename(path)] = text
+    return files
 
 
 class TestRunExperiment:
@@ -242,6 +248,13 @@ class TestRunExperiment:
         ds = run_experiment(small("magnetic_lifetime", repetitions=50))
         fit = ds.fits["survival"]
         assert 0.4 < fit.parameters["a"] < 0.6
+
+    def test_magnetic_lifetime_ignores_the_dipole_loading_mode(self, tmp_path):
+        # no dipole-trap transfer loads a magnetic-trap run
+        perfect, geometric = (
+            _exports(small("magnetic_lifetime", loading_mode=mode), tmp_path / mode)
+            for mode in ("perfect", "geometric"))
+        assert perfect == geometric
 
     def test_transfer_efficiency(self):
         ds = run_experiment(small("transfer_efficiency", repetitions=800))
@@ -335,16 +348,71 @@ class TestExport:
         rec = json.loads(raw)
         assert list(rec) == sorted(rec)
 
-    def test_env_var_override(self, tmp_path, monkeypatch):
-        target = tmp_path / "redirected"
-        monkeypatch.setenv("ATOMTRAP_OUTPUT_DIR", str(target))
-        ds = run_experiment(small("lifetime", repetitions=2))
-        paths = export_dataset(ds, str(tmp_path / "ignored"))
-        assert all(p.startswith(str(target)) for p in paths)
-        assert target.exists()
-
     def test_no_partial_files(self, tmp_path):
         # the export directory never contains temp leftovers after a write
         ds = run_experiment(small("lifetime", repetitions=2))
         export_dataset(ds, str(tmp_path))
         assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
+
+
+# "section.key" -> (kind, settings under which the key shows, a value other
+# than its default): setting the key to the value changes an export of the kind
+_GEOMETRIC = {"experiment.loading_mode": "geometric"}
+_FAST_MOT = {"mot.loading_rate_per_s": 200}
+_LIVE = {
+    "experiment.master_seed": ("lifetime", {}, 7),
+    "experiment.repetitions": ("lifetime", {}, 3),
+    "experiment.atoms_per_run": ("lifetime", {}, 2),
+    "experiment.schedule_s": ("lifetime", {}, "1, 2"),
+    "experiment.loading_mode": ("lifetime", {}, "geometric"),
+    "trap.power_w": ("lifetime", _GEOMETRIC, 1.0),
+    "trap.waist_m": ("lifetime", _GEOMETRIC, 8e-6),
+    "trap.wavelength_m": ("lifetime", _GEOMETRIC, 1.5e-6),
+    "trap.raman_suppression": ("relaxation", {}, 10.0),
+    "trap.intensity_averaging_factor": ("relaxation", {}, 0.5),
+    "trap.dipole_lifetime_s": ("lifetime", {}, 5.0),
+    "trap.magnetic_lifetime_s": ("magnetic_lifetime", {}, 5.0),
+    "mot.loading_rate_per_s": ("mot_monitor", {}, 2.0),
+    "mot.one_body_loss_per_s": ("mot_monitor", {}, 1.0),
+    "mot.two_body_pair_rate_per_s": ("mot_monitor", {}, 1.0),
+    "mot.two_body_multiplicity": ("mot_monitor", {"mot.two_body_pair_rate_per_s": 1.0}, 1),
+    "mot.radius_m": ("lifetime", _GEOMETRIC, 20e-6),
+    "mot.temperature_k": ("lifetime", _GEOMETRIC, 1e-3),
+    "detector.per_atom_rate_per_s": ("mot_monitor", {}, 3e4),
+    "detector.background_rate_per_s": ("mot_monitor", {}, 1e3),
+    "detector.bin_width_s": ("mot_monitor", {}, 0.2),
+    "burst.mean_photons_per_atom": ("detection_demo", {}, 10.0),
+    "burst.background_photons_per_window": ("detection_demo", {}, 5.0),
+    "burst.burst_duration_s": ("detection_demo", {}, 1e-4),
+    "burst.detection_bin_s": ("detection_demo", {}, 1e-4),
+    "sequence.overlap_s": ("lifetime", _FAST_MOT, 0.05),
+    "sequence.delay_s": ("relaxation", _FAST_MOT, 0.05),
+    "sequence.window_s": ("detection_demo", {}, 1e-3),
+}
+# the few runs per kind that keep each case fast
+_FEW_RUNS = {"lifetime": {"experiment.repetitions": 5},
+             "magnetic_lifetime": {"experiment.repetitions": 5},
+             "relaxation": {"experiment.repetitions": 2},
+             "mot_monitor": {"experiment.schedule_s": 20}}
+
+
+def _config(kind, settings):
+    sections = {"experiment": {"kind": kind}}
+    for dotted, value in settings.items():
+        section, key = dotted.split(".")
+        sections.setdefault(section, {})[key] = value
+    return parse_config("".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in rows.items())
+                                for section, rows in sections.items()))
+
+
+def test_liveness_table_covers_every_key():
+    keys = {f"{section}.{key}" for section, rows in runner._SCHEMA.items() for key in rows}
+    assert set(_LIVE) == keys - {"experiment.kind", "experiment.output_dir"}
+
+
+@pytest.mark.parametrize("key", _LIVE)
+def test_every_key_changes_an_export(key, tmp_path):
+    kind, extra, value = _LIVE[key]
+    base = {"experiment.master_seed": 5, **_FEW_RUNS.get(kind, {}), **extra}
+    assert (_exports(_config(kind, base), tmp_path / "base")
+            != _exports(_config(kind, {**base, key: value}), tmp_path / "set"))

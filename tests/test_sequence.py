@@ -680,7 +680,9 @@ _TRACED_SEQUENCES = (
     build_protocol("mot_monitor", duration_s=2.0),
 )
 _TRACED_BUNDLES = (
-    PhysicsBundle(),
+    # literal rates, so that the digest pins the interpreter and not the default trap
+    PhysicsBundle(hyperfine=HyperfineRates(r_4to3=7.0 / 16.0 * 0.2639,
+                                           r_3to4=9.0 / 16.0 * 0.2639)),
     PhysicsBundle(mot_rates=MotRates(loading_rate_r=5.0, one_body_loss=1.0,
                                      two_body_pair_rate=0.5),
                   detector=DetectorModel(bin_width=0.05, overlap_suppression=0.5,

@@ -3,6 +3,11 @@
 All simulators take an explicit numpy Generator and are deterministic given
 that stream; independent runs should each receive their own stream (see
 atomtrap.streams).
+
+Each closed-form endpoint law is written once, as a checked helper
+_<law>_law that computes its parameters and a _<law>_draw that only draws
+from them; the public sampler is the one followed by the other, and
+sequence.bind_plan calls the helper once per phase and the draw once per run.
 """
 
 from __future__ import annotations
@@ -149,20 +154,34 @@ def gillespie_mot(
     return StateTrajectory(np.array(times), np.array(values), t_end=t_max)
 
 
+def _survival_law(lifetime: float, t_hold: float) -> float | None:
+    """The probability exp(-t_hold/lifetime) that an atom survives a hold,
+    or None for a hold of zero length, which draws nothing."""
+    if not lifetime > 0:
+        raise ValueError("lifetime must be positive")
+    if not t_hold >= 0:
+        raise ValueError("t_hold must be non-negative")
+    return None if t_hold == 0 else np.exp(-t_hold / lifetime)
+
+
+def _survival_draw(n0: int, law: float | None, rng: np.random.Generator) -> int:
+    return int(rng.binomial(n0, law)) if law is not None and n0 else int(n0)
+
+
+def _magnetic_draw(n0: int, law: float | None, rng: np.random.Generator) -> int:
+    projected = int(rng.binomial(n0, 0.5)) if n0 else 0
+    return _survival_draw(projected, law, rng)
+
+
 def dipole_survival(n0: int, lifetime: float, t_hold: float, rng: np.random.Generator) -> int:
     """Number of atoms remaining after holding n0 atoms in the dipole trap.
 
     Each atom survives independently with probability exp(-t_hold/lifetime).
     """
-    if lifetime <= 0:
-        raise ValueError("lifetime must be positive")
-    if t_hold < 0:
-        raise ValueError("t_hold must be non-negative")
+    law = _survival_law(lifetime, t_hold)
     if n0 < 0:
         raise ValueError("n0 must be non-negative")
-    if t_hold == 0 or n0 == 0:
-        return int(n0)
-    return int(rng.binomial(n0, np.exp(-t_hold / lifetime)))
+    return _survival_draw(n0, law, rng)
 
 
 def magnetic_trap_survival(n0: int, lifetime: float, t_hold: float, rng: np.random.Generator) -> int:
@@ -173,8 +192,7 @@ def magnetic_trap_survival(n0: int, lifetime: float, t_hold: float, rng: np.rand
     """
     if n0 < 0:
         raise ValueError("n0 must be non-negative")
-    projected = int(rng.binomial(n0, 0.5)) if n0 else 0
-    return dipole_survival(projected, lifetime, t_hold, rng)
+    return _magnetic_draw(n0, _survival_law(lifetime, t_hold), rng)
 
 
 def _occupations(rates: HyperfineRates, t):
@@ -206,6 +224,26 @@ def analytic_occupation(f_initial: int, rates: HyperfineRates, t) -> float:
     return float(out) if out.ndim == 0 else out
 
 
+def _mot_law(rates: MotRates, t: float) -> tuple[float | None, float]:
+    """(survival probability of the atoms present, None when gamma = 0 and
+    every atom stays; mean number loaded) of mot_endpoint's law."""
+    if rates.two_body_pair_rate != 0.0:
+        raise ValueError("the closed-form endpoint needs two_body_pair_rate = 0")
+    if not t >= 0:
+        raise ValueError("t must be non-negative")
+    gamma = rates.one_body_loss
+    if gamma == 0.0:
+        return None, rates.loading_rate_r * t
+    lost = -np.expm1(-gamma * t)  # 1 - exp(-gamma t) without cancellation
+    return 1.0 - lost, rates.loading_rate_r * lost / gamma
+
+
+def _mot_draw(n0: int, law: tuple[float | None, float], rng: np.random.Generator) -> int:
+    keep, mean_loaded = law
+    kept = _survival_draw(n0, keep, rng)
+    return kept + (int(rng.poisson(mean_loaded)) if mean_loaded > 0 else 0)
+
+
 def mot_endpoint(rates: MotRates, n0: int, t: float, rng: np.random.Generator) -> int:
     """Exact MOT atom number after time t without simulating the path (beta = 0).
 
@@ -216,20 +254,26 @@ def mot_endpoint(rates: MotRates, n0: int, t: float, rng: np.random.Generator) -
     the gamma = 0 limit is n0 + Poisson(R t). This is the law of
     gillespie_mot(rates, n0, t, rng).final_value().
     """
-    if rates.two_body_pair_rate != 0.0:
-        raise ValueError("the closed-form endpoint needs two_body_pair_rate = 0")
-    if t < 0:
-        raise ValueError("t must be non-negative")
+    law = _mot_law(rates, t)
     if n0 < 0:
         raise ValueError("n0 must be non-negative")
-    gamma = rates.one_body_loss
-    if gamma == 0.0:
-        kept, mean_loaded = int(n0), rates.loading_rate_r * t
-    else:
-        lost = -np.expm1(-gamma * t)  # 1 - exp(-gamma t) without cancellation
-        kept = int(rng.binomial(n0, 1.0 - lost)) if n0 else 0
-        mean_loaded = rates.loading_rate_r * lost / gamma
-    return kept + (int(rng.poisson(mean_loaded)) if mean_loaded > 0 else 0)
+    return _mot_draw(n0, law, rng)
+
+
+def _hyperfine_law(rates: HyperfineRates, t: float) -> tuple[float, float] | None:
+    """The analytic_occupation at t from F=4 and from F=3, or None for t = 0,
+    which draws nothing."""
+    if not t >= 0:
+        raise ValueError("t must be non-negative")
+    return None if t == 0 else tuple(map(float, _occupations(rates, t)))
+
+
+def _hyperfine_draw(
+    n_f4: int, n_f3: int, law: tuple[float, float] | None, rng: np.random.Generator
+) -> int:
+    if law is None or n_f4 + n_f3 == 0:
+        return int(n_f4)
+    return int(rng.binomial(n_f4, law[0])) + int(rng.binomial(n_f3, law[1]))
 
 
 def hyperfine_endpoint(
@@ -240,12 +284,8 @@ def hyperfine_endpoint(
     Each atom flips between F=4 and F=3 at the rates r_4to3 and r_3to4,
     independently of the others, so its final F is a Bernoulli draw with
     the analytic_occupation of its initial state; the F=4 count is their
-    sum, drawn as the two binomials in one vectorised call.
+    sum, drawn as two binomials, the F=4 atoms' first.
     """
     if n_f4 < 0 or n_f3 < 0:
         raise ValueError("atom counts must be non-negative")
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    if t == 0 or n_f4 + n_f3 == 0:
-        return int(n_f4)
-    return int(rng.binomial((n_f4, n_f3), _occupations(rates, t)).sum())
+    return _hyperfine_draw(n_f4, n_f3, _hyperfine_law(rates, t), rng)

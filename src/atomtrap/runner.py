@@ -25,9 +25,9 @@ from .analysis import (
     fit_relaxation,
     fit_relaxation_joint,
 )
-from .kinetics import HyperfineRates, MotRates, gillespie_mot, magnetic_trap_survival
-from .sequence import (PROTOCOL_DEFAULTS, PhysicsBundle, build_protocol, chain,
-                       compile_sequence, run_plan)
+from .kinetics import HyperfineRates, MotRates, _magnetic_draw, _survival_law, gillespie_mot
+from .sequence import (PROTOCOL_DEFAULTS, PhysicsBundle, bind_plan, build_protocol, chain,
+                       compile_sequence)
 from .signals import BurstModel, DetectorModel, PhotonTrace, synthesize_mot_trace
 
 __all__ = [
@@ -347,28 +347,31 @@ def _survival_experiment(cfg: ExperimentConfig) -> Dataset:
     A magnetic run applies the spin projection then exponential decay to the
     atoms per run, which no dipole-trap transfer loads, and counts against
     them; a dipole run counts recaptured against prepared atoms. lifetime
-    and magnetic_lifetime fit the decay.
+    and magnetic_lifetime fit the decay. Each arm's law is computed once.
     """
+    n0 = cfg.atoms_per_run
     if cfg.kind == "magnetic_lifetime":
-        tau, n0 = cfg.trap["magnetic_lifetime_s"], cfg.atoms_per_run
+        tau = cfg.trap["magnetic_lifetime_s"]
 
         def runs_at(t_hold):
+            survival = _survival_law(tau, t_hold)
+
             def run(rng):
-                return magnetic_trap_survival(n0, tau, t_hold, rng), n0
+                return _magnetic_draw(n0, survival, rng), n0
             return run
     else:
         bundle = cfg.physics_bundle()
         overlap = cfg.sequence["overlap_s"]
 
         def runs_at(t_hold):
-            plan = compile_sequence(chain(
+            bound = bind_plan(compile_sequence(chain(
                 build_protocol("transfer", overlap_s=overlap),
                 t_hold,
                 build_protocol("recapture", overlap_s=overlap),
-            ))
+            )), bundle)
 
             def run(rng):
-                rec = run_plan(plan, cfg.atoms_per_run, bundle, rng)
+                rec = bound(n0, rng)
                 return rec.recaptured_n, rec.prepared_n
             return run
     outcomes, counters = _repeat(cfg, [(f"t={t!r}", runs_at(t)) for t in cfg.schedule])
@@ -389,14 +392,14 @@ def _detect_arm(cfg: ExperimentConfig, bundle: PhysicsBundle, f_init: int, t_hol
     """One prepare F=f_init -> hold t_hold -> detect run: (atoms in the trap
     when the detection starts, the detection burst)."""
     seqp = cfg.sequence
-    plan = compile_sequence(chain(
+    bound = bind_plan(compile_sequence(chain(
         build_protocol(f"prepare_f{f_init}", overlap_s=seqp["overlap_s"], delay_s=seqp["delay_s"]),
         t_hold,
         build_protocol("detect", window_s=seqp["window_s"]),
-    ))
+    )), bundle)
 
     def run(rng):
-        rec = run_plan(plan, cfg.atoms_per_run, bundle, rng)
+        rec = bound(cfg.atoms_per_run, rng)
         return rec.final_n, next(tr for name, tr in rec.traces if name == "detect")
     return run
 

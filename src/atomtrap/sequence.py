@@ -4,9 +4,10 @@ A Sequence is a list of switching events applied on top of an initial
 channel state. The canonical protocols (transfer, recapture, hyperfine
 preparation, state-selective detection) are produced by build_protocol
 and can be composed with chain(); compile_sequence validates a timeline
-once and reduces it to a plan of phases, which run_plan executes by
-dispatching each phase to the kinetics and signal modules. Running a plan
-only simulates: recovering anything from its traces is the caller's job.
+once and reduces it to a plan of phases; bind_plan binds a plan to the
+physics once, computing each phase's law from the kinetics and signal
+modules, and the bound run only draws. Running a plan only simulates:
+recovering anything from its traces is the caller's job.
 """
 
 from __future__ import annotations
@@ -21,11 +22,14 @@ import numpy as np
 from .kinetics import (
     HyperfineRates,
     MotRates,
-    dipole_survival,
+    _hyperfine_draw,
+    _hyperfine_law,
+    _magnetic_draw,
+    _mot_draw,
+    _mot_law,
+    _survival_draw,
+    _survival_law,
     gillespie_mot,
-    hyperfine_endpoint,
-    magnetic_trap_survival,
-    mot_endpoint,
 )
 from .physics import AtomParams, GaussianBeam, TrapModel, effective_relaxation_rates
 from .signals import (
@@ -33,9 +37,10 @@ from .signals import (
     BurstModel,
     DetectorModel,
     PhotonTrace,
+    _burst_draw,
+    _burst_law,
     read_csv_table,
     synthesize_counts,
-    synthesize_detection_burst,
     synthesize_mot_trace,
 )
 
@@ -54,6 +59,7 @@ __all__ = [
     "Phase",
     "SequencePlan",
     "compile_sequence",
+    "bind_plan",
     "run_plan",
     "simulate_sequence",
     "sequence_to_csv",
@@ -235,7 +241,7 @@ def validate_sequence(seq: Sequence) -> list[Violation]:
     return _walk(seq)[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class PhysicsBundle:
     """Everything simulate_sequence needs to know about the apparatus; the
     defaults are those of the default config."""
@@ -437,6 +443,105 @@ def compile_sequence(seq: Sequence) -> SequencePlan:
     return SequencePlan(phases)
 
 
+def bind_plan(plan: SequencePlan, physics: PhysicsBundle, traces: bool = False):
+    """Bind a compiled sequence to the physics: run(initial_n, rng) -> RunRecord.
+
+    Each phase's law parameters are computed and checked here, once, so a
+    run only draws. MOT and overlap phases advance the birth-death process:
+    from its exact endpoint law (mot_endpoint) when there is no two-body
+    loss and no trace is made, otherwise along a gillespie_mot path. Dipole
+    holds apply exponential survival and, where a later detection reads it,
+    the hyperfine endpoint law. Detect phases synthesize the fluorescence
+    burst, whose trace is always returned; it is not classified here. A
+    magnetic hold applies the 50% spin projection plus the same exponential
+    decay. With traces=True the MOT fluorescence of phases of at least one
+    detector bin and the stray light of such holds are synthesized as well.
+    run raises ValueError for a negative initial_n.
+    """
+    det = physics.detector
+    mot = physics.mot_rates
+    burst = physics.burst
+    eta = physics.loading_efficiency
+    bound = []  # (phase, synthesize its trace, its law)
+    for ph in plan.phases:
+        cat, dt = ph.category, ph.dt
+        traced = traces and dt >= det.bin_width
+        if cat in _MOT_LIGHT:
+            exact = not traced and mot.two_body_pair_rate == 0.0
+            law = _mot_law(mot, dt) if exact else None
+        elif cat == "hold":
+            law = (_survival_law(physics.dipole_lifetime, dt),
+                   _hyperfine_law(physics.hyperfine, dt) if ph.tracks_f else None)
+        elif cat == "magnetic_hold":
+            law = _survival_law(physics.magnetic_lifetime, dt)
+        elif cat == "detect":
+            law = _burst_law(burst, dt)
+        else:  # 'gap': nothing happens on the Pockels-gap time scale
+            law = None
+        bound.append((ph, traced, law))
+
+    def run(initial_n: int, rng: np.random.Generator) -> RunRecord:
+        if initial_n < 0:
+            raise ValueError("initial_n must be non-negative")
+        n = int(initial_n)
+        n4: int | None = None  # atoms in F=4 while the hyperfine state is tracked
+        out: list[tuple[str, PhotonTrace]] = []
+        prepared_n = prepared_state = survivors = recaptured_n = None
+        for ph, traced, law in bound:
+            cat = ph.category
+            if ph.prepared_state is not None:
+                prepared_n, prepared_state = n, ph.prepared_state
+            if ph.transfer:
+                if eta < 1.0 and n:
+                    n = int(rng.binomial(n, eta))
+                if ph.tracks_f:
+                    if prepared_state == "mixed":
+                        n4 = int(rng.binomial(n, MIXED_STATE_P4)) if n else 0
+                    else:
+                        n4 = n if prepared_state == "4" else 0
+            if ph.recapture:
+                recaptured_n = n
+
+            if cat in _MOT_LIGHT:
+                n4 = None  # the MOT light scrambles the hyperfine state
+                if law is not None:
+                    n = _mot_draw(n, law, rng)
+                elif traced:
+                    traj = gillespie_mot(mot, n, ph.dt, rng)
+                    n = traj.final_value()
+                    out.append((cat, synthesize_mot_trace(traj, det, rng,
+                                                          overlap=cat == "overlap")))
+                else:
+                    n = gillespie_mot(mot, n, ph.dt, rng).final_value()
+            elif cat == "hold":
+                survival, occupations = law
+                if ph.tracks_f and n4 is not None:
+                    kept4 = _survival_draw(n4, survival, rng)
+                    kept3 = _survival_draw(n - n4, survival, rng)
+                    n4 = _hyperfine_draw(kept4, kept3, occupations, rng)
+                    n = kept4 + kept3
+                else:
+                    n, n4 = _survival_draw(n, survival, rng), None
+                survivors = n
+                if traced:
+                    out.append((cat, synthesize_counts(
+                        [0.0], [det.dipole_stray_rate], ph.dt, det.bin_width, rng)))
+            elif cat == "magnetic_hold":
+                n = _magnetic_draw(n, law, rng)
+                n4 = None
+                survivors = n
+            elif cat == "detect":
+                if n4 is None:
+                    n4 = int(rng.binomial(n, MIXED_STATE_P4)) if n else 0
+                out.append((cat, _burst_draw(n4, burst, law, rng)))
+                n4 = 0  # detection light pumps the atoms dark
+
+        return RunRecord(prepared_n=prepared_n, prepared_state=prepared_state, traces=out,
+                         survivors=survivors, recaptured_n=recaptured_n, final_n=n)
+
+    return run
+
+
 def run_plan(
     plan: SequencePlan,
     initial_n: int,
@@ -444,80 +549,11 @@ def run_plan(
     rng: np.random.Generator,
     traces: bool = False,
 ) -> RunRecord:
-    """Execute a compiled sequence against the stochastic physics models.
+    """One run of a compiled sequence: bind_plan(plan, physics, traces)(initial_n, rng).
 
-    MOT and overlap phases advance the birth-death process: from its exact
-    endpoint law (mot_endpoint) when there is no two-body loss and no trace
-    is made, otherwise along a gillespie_mot path. Dipole holds apply
-    exponential survival and, where a later detection reads it, the
-    hyperfine endpoint law. Detect phases synthesize the fluorescence
-    burst, whose trace is always returned; it is not classified here. A
-    magnetic hold applies the 50% spin projection plus the same exponential
-    decay. With traces=True the MOT fluorescence of phases of at least one
-    detector bin and the stray light of such holds are synthesized as well.
+    Bind once and call the bound run to run a sequence many times.
     """
-    if initial_n < 0:
-        raise ValueError("initial_n must be non-negative")
-    det = physics.detector
-    mot = physics.mot_rates
-    mot_endpoint_exact = mot.two_body_pair_rate == 0.0
-    tau_dip = physics.dipole_lifetime
-
-    n = int(initial_n)
-    n4: int | None = None  # atoms in F=4 while the hyperfine state is tracked
-    out: list[tuple[str, PhotonTrace]] = []
-    prepared_n = prepared_state = survivors = recaptured_n = None
-
-    for ph in plan.phases:
-        cat, dt = ph.category, ph.dt
-        if ph.prepared_state is not None:
-            prepared_n, prepared_state = n, ph.prepared_state
-        if ph.transfer:
-            if physics.loading_efficiency < 1.0 and n:
-                n = int(rng.binomial(n, physics.loading_efficiency))
-            if ph.tracks_f:
-                if prepared_state == "mixed":
-                    n4 = int(rng.binomial(n, MIXED_STATE_P4)) if n else 0
-                else:
-                    n4 = n if prepared_state == "4" else 0
-        if ph.recapture:
-            recaptured_n = n
-
-        if cat in _MOT_LIGHT:
-            n4 = None  # the MOT light scrambles the hyperfine state
-            if traces and dt >= det.bin_width:
-                traj = gillespie_mot(mot, n, dt, rng)
-                n = traj.final_value()
-                out.append((cat, synthesize_mot_trace(traj, det, rng, overlap=cat == "overlap")))
-            elif mot_endpoint_exact:
-                n = mot_endpoint(mot, n, dt, rng)
-            else:
-                n = gillespie_mot(mot, n, dt, rng).final_value()
-        elif cat == "hold":
-            if ph.tracks_f and n4 is not None:
-                kept4 = dipole_survival(n4, tau_dip, dt, rng)
-                kept3 = dipole_survival(n - n4, tau_dip, dt, rng)
-                n4 = hyperfine_endpoint(kept4, kept3, physics.hyperfine, dt, rng)
-                n = kept4 + kept3
-            else:
-                n, n4 = dipole_survival(n, tau_dip, dt, rng), None
-            survivors = n
-            if traces and dt >= det.bin_width:
-                out.append((cat, synthesize_counts(
-                    [0.0], [det.dipole_stray_rate], dt, det.bin_width, rng)))
-        elif cat == "magnetic_hold":
-            n = magnetic_trap_survival(n, physics.magnetic_lifetime, dt, rng)
-            n4 = None
-            survivors = n
-        elif cat == "detect":
-            if n4 is None:
-                n4 = int(rng.binomial(n, MIXED_STATE_P4)) if n else 0
-            out.append((cat, synthesize_detection_burst(n4, physics.burst, rng, window=dt)))
-            n4 = 0  # detection light pumps the atoms dark
-        # 'gap': nothing happens on the Pockels-gap time scale
-
-    return RunRecord(prepared_n=prepared_n, prepared_state=prepared_state, traces=out,
-                     survivors=survivors, recaptured_n=recaptured_n, final_n=n)
+    return bind_plan(plan, physics, traces)(initial_n, rng)
 
 
 def simulate_sequence(
@@ -525,10 +561,10 @@ def simulate_sequence(
 ) -> RunRecord:
     """Validate, compile and run one timeline, synthesizing every trace.
 
-    Equivalent to run_plan(compile_sequence(seq), initial_n, physics, rng,
-    traces=True); compile once and call run_plan to run a sequence many times.
+    Equivalent to bind_plan(compile_sequence(seq), physics, traces=True)(initial_n,
+    rng); compile and bind once to run a sequence many times.
     """
-    return run_plan(compile_sequence(seq), initial_n, physics, rng, traces=True)
+    return bind_plan(compile_sequence(seq), physics, traces=True)(initial_n, rng)
 
 
 def sequence_to_csv(seq: Sequence) -> str:

@@ -258,19 +258,29 @@ def synthesize_detection_burst(
     """
     if n_f4 < 0:
         raise ValueError("n_f4 must be non-negative")
-    if window <= 0:
+    return _burst_draw(n_f4, model, _burst_law(model, window), rng)
+
+
+def _burst_law(model: BurstModel, window: float) -> tuple[float, float, int]:
+    """(window, envelope CDF at the window's end, bin count) of a detection burst."""
+    if not window > 0:
         raise ValueError("window must be positive")
+    cdf_end = 1.0 - np.exp(-window / model.burst_duration_mean)
+    return window, cdf_end, max(int(np.ceil(window / model.detection_bin - 1e-9)), 1)
+
+
+def _burst_draw(n_f4: int, model: BurstModel, law: tuple[float, float, int],
+                rng: np.random.Generator) -> PhotonTrace:
+    window, cdf_end, n_bins = law
     arrivals = []
     n_photons = int(rng.poisson(model.mean_photons_per_atom * n_f4)) if n_f4 else 0
     if n_photons:
         # inverse-CDF sample of the exponential envelope truncated to the window
         u = rng.random(n_photons)
-        cdf_end = 1.0 - np.exp(-window / model.burst_duration_mean)
         arrivals.append(-model.burst_duration_mean * np.log1p(-u * cdf_end))
     n_bg = int(rng.poisson(model.background_photons_per_window))
     if n_bg:
         arrivals.append(rng.random(n_bg) * window)
-    n_bins = max(int(np.ceil(window / model.detection_bin - 1e-9)), 1)
     counts = np.zeros(n_bins, dtype=np.int64)
     if arrivals:
         times = np.concatenate(arrivals)

@@ -11,7 +11,10 @@ unused SeedSequence, which is more than a short run's physics; the runner
 therefore draws its runs from RunStreams, which keeps one Philox per
 experiment and rewinds it to each run's stream start: the same key,
 counter [0, 0, 0, run_index], an empty output buffer and no cached
-32-bit half. Its draws equal run_stream's bit for bit.
+32-bit half. Its draws equal run_stream's bit for bit. The rewind hands
+the state setter lists of Python ints, which it converts to uint64 one
+word at a time and exactly over the whole 64-bit range; numpy arrays
+would cost the setter more than twice as long.
 """
 
 from __future__ import annotations
@@ -34,8 +37,9 @@ def _u64(value: int, name: str) -> int:
 
 
 def _counter(run_index: int) -> np.ndarray:
-    # uint64 throughout: a Python list would pass an index above 2**63
-    # through float64 and merge neighbouring runs
+    # uint64 throughout: the Philox(counter=...) constructor would pass an
+    # index above 2**63 in a Python list through float64 and merge
+    # neighbouring runs (the state setter that RunStreams uses does not)
     return np.array([0, 0, 0, run_index], dtype=np.uint64)
 
 
@@ -62,12 +66,11 @@ class RunStreams:
 
     def __init__(self, master_seed: int):
         master_seed = _u64(master_seed, "master_seed")
-        self._counter = _counter(0)
+        self._counter = [0, 0, 0, 0]
         self._state = {
             "bit_generator": "Philox",
-            "state": {"counter": self._counter,
-                      "key": np.array([master_seed, 0], dtype=np.uint64)},
-            "buffer": np.zeros(4, dtype=np.uint64),
+            "state": {"counter": self._counter, "key": [master_seed, 0]},
+            "buffer": [0, 0, 0, 0],
             "buffer_pos": 4,  # empty: the next draw computes a fresh block
             "has_uint32": 0,
             "uinteger": 0,
@@ -78,5 +81,5 @@ class RunStreams:
     def at(self, run_index: int) -> np.random.Generator:
         """The shared generator, rewound to the start of run `run_index`."""
         self._counter[3] = _u64(run_index, "run_index")
-        self._bitgen.state = self._state  # the setter copies the arrays
+        self._bitgen.state = self._state  # the setter copies the words
         return self._rng

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy import linalg, stats
 
 from atomtrap import (
+    BurstModel,
     HyperfineRates,
     MotRates,
     StateTrajectory,
@@ -15,6 +16,7 @@ from atomtrap import (
     magnetic_trap_survival,
     mot_endpoint,
     run_stream,
+    synthesize_detection_burst,
 )
 from telegraph_reference import hyperfine_telegraph
 from two_sample import chi2_two_sample
@@ -289,13 +291,19 @@ def _reference_occupation(f_initial, rates, t) -> float:
 
 
 class _BinomialSpy:
-    """Generator stand-in that records the probabilities of each binomial draw."""
+    """Generator stand-in that records the probabilities of the scalar
+    binomial draws of one endpoint, as one tuple (F=4 first, then F=3)."""
 
     def __init__(self, rng):
-        self.rng, self.p = rng, []
+        self.rng, self._drawn = rng, []
+
+    @property
+    def p(self):
+        return [tuple(self._drawn)] if self._drawn else []
 
     def binomial(self, n, p):
-        self.p.append(tuple(float(x) for x in p))
+        assert np.ndim(n) == np.ndim(p) == 0
+        self._drawn.append(float(p))
         return self.rng.binomial(n, p)
 
 
@@ -379,3 +387,26 @@ class TestMotEndpoint:
             mot_endpoint(MotRates(), -1, 1.0, run_stream(0, 0))
         with pytest.raises(ValueError):
             mot_endpoint(MotRates(), 1, -1.0, run_stream(0, 0))
+
+
+# Each sampler's checks run before any draw, on the arguments its law reads;
+# nan fails no "x < 0" test, so each check must be one that nan fails.
+_NAN_ARGUMENTS = [
+    ("dipole_survival", "lifetime", lambda x, rng: dipole_survival(3, x, 1.0, rng)),
+    ("dipole_survival", "t_hold", lambda x, rng: dipole_survival(3, 51.0, x, rng)),
+    ("magnetic_trap_survival", "lifetime", lambda x, rng: magnetic_trap_survival(3, x, 1.0, rng)),
+    ("magnetic_trap_survival", "t_hold", lambda x, rng: magnetic_trap_survival(3, 51.0, x, rng)),
+    ("mot_endpoint", "t", lambda x, rng: mot_endpoint(MotRates(), 2, x, rng)),
+    ("hyperfine_endpoint", "t", lambda x, rng: hyperfine_endpoint(1, 1, REF_HF, x, rng)),
+    ("synthesize_detection_burst", "window",
+     lambda x, rng: synthesize_detection_burst(2, BurstModel(), rng, window=x)),
+]
+
+
+@pytest.mark.parametrize("argument, call", [(a, c) for _, a, c in _NAN_ARGUMENTS],
+                         ids=[f"{f}.{a}" for f, a, _ in _NAN_ARGUMENTS])
+def test_nan_argument_rejected_by_name(argument, call):
+    rng = run_stream(0, 0)
+    with pytest.raises(ValueError, match=rf"^{argument} must be"):
+        call(float("nan"), rng)
+    assert rng.random() == run_stream(0, 0).random()  # nothing was drawn

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 
@@ -18,6 +19,7 @@ from atomtrap import (
     Sequence,
     SequenceEvent,
     analytic_occupation,
+    bind_plan,
     build_protocol,
     chain,
     compile_sequence,
@@ -33,6 +35,7 @@ from atomtrap import (
     validate_sequence,
 )
 from atomtrap.sequence import HOLD_GRACE_S, MIXED_STATE_P4
+import plan_reference
 from two_sample import chi2_two_sample
 
 
@@ -572,6 +575,14 @@ def test_non_positive_magnetic_lifetime_rejected(tau):
         PhysicsBundle(magnetic_lifetime=tau)
 
 
+def test_physics_bundle_is_frozen():
+    # a bound plan keeps the laws it computed from the bundle, and an
+    # assignment would skip the bundle's checks
+    bundle = PhysicsBundle()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        bundle.dipole_lifetime = -1.0
+
+
 def _old_transfer_hold_recapture(n0, physics, t_hold, overlap, rng):
     """Reference: the transfer -> hold -> recapture counts driven by the public
     path simulators, as the interpreter computed them before endpoint laws."""
@@ -704,3 +715,107 @@ def test_traced_sequence_golden():
                     digest.update(repr((name, tr.t0, tr.bin_width, tr.counts.tolist())).encode())
     assert digest.hexdigest() == (
         "be72d4b67f85a452c144a5ae4691238032008d3aacbf82e9dd9e6912cf9099fb")
+
+
+# Timelines valid by construction: storage, MOT and magnetic-trap blocks,
+# each from MOT operation back to it, then optionally one
+# prepare -> hold -> detect block. A hold of 0.0 makes a zero-length hold;
+# 0.12 s spans a detector bin, so traced runs synthesize those phases.
+_HOLDS = (0.0, 1e-3, 0.12, 0.7, 3.0)
+
+
+def _magnetic_hold(duration: float) -> Sequence:
+    return Sequence(
+        [SequenceEvent(0.0, Channel.B_FIELD, True),
+         SequenceEvent(0.0, Channel.COOLING, False),
+         SequenceEvent(0.0, Channel.REPUMPER, False),
+         SequenceEvent(duration, Channel.COOLING, True),
+         SequenceEvent(duration, Channel.REPUMPER, True),
+         SequenceEvent(duration, Channel.B_FIELD, False)],
+        duration=duration)
+
+
+@st.composite
+def _bindable_plans(draw):
+    def pick(options):
+        return draw(st.sampled_from(options))
+
+    parts = []
+    for _ in range(draw(st.integers(0, 3))):
+        block = pick(("storage", "mot", "magnetic"))
+        if block == "storage":
+            overlap = pick((5e-3, 0.12))
+            parts += [build_protocol("transfer", overlap_s=overlap), pick(_HOLDS),
+                      build_protocol("recapture", overlap_s=overlap)]
+        elif block == "mot":
+            parts.append(build_protocol("mot_monitor", duration_s=pick((1e-3, 0.3))))
+        else:
+            parts.append(_magnetic_hold(pick((0.5, 4.0))))
+    if not parts or draw(st.booleans()):
+        parts += [build_protocol(pick(("prepare_f3", "prepare_f4")),
+                                 overlap_s=pick((5e-3, 0.12)), delay_s=pick((8e-3, 0.15))),
+                  pick(_HOLDS),
+                  build_protocol("detect", gap_s=pick((50e-6, 80e-6)),
+                                 window_s=pick((2e-3, 0.15)))]
+    return compile_sequence(chain(*parts))
+
+
+_BUNDLES = st.builds(
+    PhysicsBundle,
+    mot_rates=st.sampled_from((
+        MotRates(),
+        MotRates(loading_rate_r=50.0, one_body_loss=0.0),
+        MotRates(loading_rate_r=20.0, one_body_loss=2.0, two_body_pair_rate=0.5),
+        MotRates(loading_rate_r=5.0, one_body_loss=1.0, two_body_pair_rate=0.5,
+                 two_body_loss_multiplicity=1),
+    )),
+    hyperfine=st.sampled_from((HyperfineRates(r_4to3=0.11, r_3to4=0.15),
+                               HyperfineRates(0.0, 0.0), HyperfineRates(5.0, 1e-3))),
+    detector=st.sampled_from((DetectorModel(), DetectorModel(
+        bin_width=0.05, overlap_suppression=0.5, dipole_stray_rate=2e3))),
+    burst=st.sampled_from((BurstModel(), BurstModel(mean_photons_per_atom=8.0,
+                                                    background_photons_per_window=0.0))),
+    dipole_lifetime=st.sampled_from((51.0, 0.4)),
+    magnetic_lifetime=st.sampled_from((51.0, 1.5)),
+    loading_efficiency=st.sampled_from((1.0, 0.7, 0.0)),
+)
+
+
+def _plain(value):
+    return np.asarray(value).tolist()
+
+
+class _DrawLog:
+    """Generator stand-in that logs every draw: its method and arguments."""
+
+    def __init__(self, rng):
+        self.rng, self.log = rng, []
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def draw(*args, **kwargs):
+            self.log.append((name, _plain(args), {k: _plain(v) for k, v in kwargs.items()}))
+            return method(*args, **kwargs)
+        return draw
+
+
+def _record(rec) -> tuple:
+    return (rec.prepared_n, rec.prepared_state, rec.survivors, rec.recaptured_n, rec.final_n,
+            [(name, tr.t0, tr.bin_width, tr.counts.tolist()) for name, tr in rec.traces])
+
+
+@given(plan=_bindable_plans(), physics=_BUNDLES, traces=st.booleans(),
+       initial_n=st.integers(0, 6))
+@settings(max_examples=150, deadline=None)
+def test_bound_plan_makes_the_reference_draws(plan, physics, traces, initial_n):
+    # the same draws with the same arguments in the same order, so the same
+    # record and the generator left at the same point; one bound run serves
+    # several runs, as the runner uses it
+    run = bind_plan(plan, physics, traces)
+    for i in range(3):
+        bound, reference = _DrawLog(run_stream(61, i)), _DrawLog(run_stream(61, i))
+        want = plan_reference.run_plan(plan, initial_n, physics, reference, traces)
+        assert _record(run(initial_n, bound)) == _record(want)
+        assert bound.log == reference.log
+        assert bound.rng.random() == reference.rng.random()

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import csv
 import io
+import re
+import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -107,11 +109,16 @@ def read_csv_table(text_or_path, columns: dict[str, Callable[[str], object]]) ->
     """
     header = list(columns)
     if "\n" in str(text_or_path):
-        name, rows = "<text>", list(csv.reader(io.StringIO(str(text_or_path))))
+        name, text, newline = "<text>", str(text_or_path), "\n"
     else:
-        name = str(text_or_path)
+        # split the lines as csv.reader over open(path, newline="") does
+        name, newline = str(text_or_path), ""
         with open(text_or_path, newline="") as fh:
-            rows = list(csv.reader(fh))
+            text = fh.read()
+    out = _numeric_table(text, columns)
+    if out is not None:
+        return out
+    rows = list(csv.reader(io.StringIO(text, newline=newline)))
     if not rows or rows[0] != header:
         raise ValueError(f"{name}: expected header '{','.join(header)}'")
     body = [row for row in rows[1:] if row]
@@ -135,9 +142,58 @@ def read_csv_table(text_or_path, columns: dict[str, Callable[[str], object]]) ->
     return out
 
 
+# a table body that csv.reader splits at "," and "\n" only, into fields that
+# numpy's C parser reads as Python's float() and int() do
+_NUMERIC_BODY = re.compile(r"[0-9.eE+\-,\n]*")
+
+
+def _numeric_table(text: str, columns: dict) -> list | None:
+    """The columns of text parsed in C, or None where csv.reader must read it.
+
+    None when a column is not float or int, the header differs, the body
+    holds a character outside _NUMERIC_BODY, numpy raises or warns (a
+    malformed row or field, no rows, an int written as a float) or a float
+    is not finite: read_csv_table then reads the text with csv.reader and
+    names the faulty row.
+    """
+    kinds = list(columns.values())
+    head, _, body = text.partition("\n")
+    if (not all(kind in (float, int) for kind in kinds) or head != ",".join(columns)
+            or not _NUMERIC_BODY.fullmatch(body)):
+        return None
+    dtype = np.dtype([(f"f{j}", kind) for j, kind in enumerate(kinds)])
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(io.StringIO(body), delimiter=",", comments=None,
+                               dtype=dtype, ndmin=1)
+    except (ValueError, OverflowError, Warning):
+        return None
+    out = [np.ascontiguousarray(table[field]) for field in dtype.names]
+    if not all(np.isfinite(col).all() for col, kind in zip(out, kinds) if kind is float):
+        return None
+    return out
+
+
 def _off(spacing: np.ndarray, width: float) -> np.ndarray:
     """Which bin spacings deviate from width by more than the tolerance."""
     return np.abs(spacing - width) > BIN_SPACING_TOLERANCE * width
+
+
+def _nine_digits_suffice(starts: np.ndarray, width: float) -> bool:
+    """Whether bin starts written with %.9g provably pass both spacing checks.
+
+    %.9g moves a start by at most half a unit in its 9th digit, so a spacing
+    by at most one such unit at the largest start; 64 ulps there cover
+    forming, parsing and differencing the starts. Both checks pass when that
+    stays under a quarter of the tolerance (the median is then off by as much).
+    """
+    top = float(np.abs(starts).max())
+    if not 0 < top < np.inf:
+        return False
+    # the decimal exponent of top rounded to 9 digits, as %.9g writes it
+    unit = 10.0 ** (int(f"{top:.8e}".partition("e")[2]) - 8)
+    return 4 * (unit + 64 * float(np.spacing(top))) <= BIN_SPACING_TOLERANCE * width
 
 
 @dataclass
@@ -165,17 +221,20 @@ class PhotonTrace:
         """Bin starts with the fewest significant digits, at least 9, whose
         spacings stay within BIN_SPACING_TOLERANCE of the bin width and of
         their median, so from_csv reads the trace back; 17 digits are exact."""
-        times = self.bin_starts.tolist()
-        for digits in range(9, 18):
-            starts = list(map(f"%.{digits}g".__mod__, times))
-            if digits == 17 or len(starts) < 2:
-                break
-            spacing = np.diff(np.array(starts, dtype=float))
-            if not (_off(spacing, self.bin_width).any()
-                    or _off(spacing, float(np.median(spacing))).any()):
-                break
-        rows = "\n".join(map(",".join, zip(starts, map(str, self.counts.tolist()))))
-        return f"bin_start_s,counts\n{rows}\n"
+        starts = self.bin_starts
+        digits = 9
+        if len(starts) >= 2 and not _nine_digits_suffice(starts, self.bin_width):
+            times = starts.tolist()
+            for digits in range(9, 17):
+                spacing = np.diff(np.array(list(map(f"%.{digits}g".__mod__, times)), dtype=float))
+                if not (_off(spacing, self.bin_width).any()
+                        or _off(spacing, float(np.median(spacing))).any()):
+                    break
+            else:
+                digits = 17
+        cells = [0] * (2 * len(starts))
+        cells[::2], cells[1::2] = starts.tolist(), self.counts.tolist()
+        return "bin_start_s,counts\n" + (f"%.{digits}g,%d\n" * len(starts)) % tuple(cells)
 
     @classmethod
     def from_csv(cls, text_or_path) -> "PhotonTrace":
@@ -263,8 +322,8 @@ def synthesize_detection_burst(
 
 def _burst_law(model: BurstModel, window: float) -> tuple[float, float, int]:
     """(window, envelope CDF at the window's end, bin count) of a detection burst."""
-    if not window > 0:
-        raise ValueError("window must be positive")
+    if not 0 < window < np.inf:
+        raise ValueError("window must be positive and finite")
     cdf_end = 1.0 - np.exp(-window / model.burst_duration_mean)
     return window, cdf_end, max(int(np.ceil(window / model.detection_bin - 1e-9)), 1)
 

@@ -15,11 +15,13 @@ from atomtrap import (
     synthesize_detection_burst,
     synthesize_mot_trace,
 )
+from atomtrap import cli, signals
 from atomtrap.signals import (
     BIN_SPACING_TOLERANCE,
     bin_expected_counts,
     read_csv_table,
 )
+import csv_reference
 
 
 class TestBinExpectedCounts:
@@ -165,6 +167,11 @@ class TestDetectionBurst:
         b = synthesize_detection_burst(2, model, run_stream(13, 5))
         assert np.array_equal(a.counts, b.counts)
 
+    @pytest.mark.parametrize("window", [float("inf"), float("nan"), 0.0, -1.0])
+    def test_window_must_be_positive_and_finite(self, window):
+        with pytest.raises(ValueError, match="^window must be positive and finite"):
+            synthesize_detection_burst(2, BurstModel(), run_stream(0, 0), window=window)
+
 
 class TestPhotonTraceCsv:
     def test_header_and_format(self):
@@ -258,6 +265,17 @@ class TestPhotonTraceCsv:
         with pytest.raises(ValueError, match=re.escape(f"<text>: row 4, column {column}: ")):
             PhotonTrace.from_csv(f"bin_start_s,counts\n\n0,1\n{row}\n0.2,3\n")
 
+    def test_bytes_equal_reference(self):
+        # the digit bound must pick 9 digits only where the digit search
+        # stops at 9; far from zero the search runs and may go up to 17
+        rng = np.random.default_rng(22)
+        for t0 in (0.0, 36000.0, 1e5):
+            for k in range(-7, 2):
+                for width in (10.0 ** k, 10.0 ** rng.uniform(k, k + 1)):
+                    for n in (1, 2, 3, 1000):
+                        tr = PhotonTrace(t0=t0, bin_width=width, counts=rng.poisson(50.0, n))
+                        assert tr.to_csv() == csv_reference.to_csv(tr), (t0, width, n)
+
     def test_invalid_counts(self):
         with pytest.raises(ValueError):
             PhotonTrace(t0=0.0, bin_width=0.1, counts=[-1])
@@ -287,9 +305,93 @@ class TestReadCsvTable:
         starts, words = read_csv_table("a,b\n", {"a": float, "b": str})
         assert len(starts) == 0 and len(words) == 0
 
+    def test_numeric_tables_skip_csv_reader(self, monkeypatch, tmp_path):
+        # a silent fall back to csv.reader would keep every other test green
+        def no_reader(*args, **kwargs):
+            raise AssertionError("csv.reader called on a numeric table")
+
+        monkeypatch.setattr(signals.csv, "reader", no_reader)
+        tr = PhotonTrace(t0=0.0, bin_width=0.1, counts=np.arange(36000) % 7)
+        back = PhotonTrace.from_csv(tr.to_csv())
+        assert np.array_equal(back.counts, tr.counts)
+        assert back.bin_width == pytest.approx(0.1, rel=1e-9)
+        path = tmp_path / "survival.csv"
+        path.write_text("t_s,survived,total\n1,390,400\n20,260,400\n")
+        assert cli._read_fit_csv(str(path), cli._SURVIVAL_COLUMNS) == [
+            (1.0, 390, 400), (20.0, 260, 400)]
+
     def test_int_overflow_names_the_row(self):
         with pytest.raises(ValueError, match="row 3, column b: "):
             read_csv_table("a,b\n0,1\n1,99999999999999999999999\n", {"a": float, "b": int})
+
+
+def _outcome(read, source, columns):
+    """The arrays read_csv_table returns, or the exception it raises."""
+    try:
+        cols = read(source, columns)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(col.dtype.str, col.shape, col.tobytes()) for col in cols]
+
+
+_NUMERIC_TABLES = [
+    {"bin_start_s": float, "counts": int},
+    {"t_s": float, "survived": int, "total": int},
+    {"t_s": float, "p4": float, "n": int},
+    {"n": int},
+]
+# fields the C path must decline or read as float() and int() do
+_ODD_FIELDS = ['"1"', '"1,2"', "1\r", "\x0b1", "1\t", " 2", "", "nan", "inf", "-inf",
+               "1e999", "1_0", "\u0661", "1.0", "1e3", "+.5", "-0", "007", "-", ".",
+               "1e", "e5", "1-2", "99999999999999999999999", "9223372036854775808"]
+_ODD_LINES = ["", "", " ", "\t", ",", ",,", ",,,", "\r", '"0","1"']
+
+
+def _numeric_field(kind, rng):
+    if kind is int:
+        return str(int(rng.integers(0, 10**6)))
+    x = rng.normal(0.0, 10.0 ** rng.integers(-8, 6))
+    return ("%.9g", "%r", "%.3e", "%.17g", "%.0f", "%d")[rng.integers(6)] % x
+
+
+def _numeric_body(kinds, rng):
+    lines = []
+    for _ in range(rng.integers(0, 7)):
+        fields = [_numeric_field(kind, rng) for kind in kinds]
+        roll = rng.random()
+        if roll < 0.25:
+            fields[rng.integers(len(fields))] = _ODD_FIELDS[rng.integers(len(_ODD_FIELDS))]
+        elif roll < 0.3:
+            fields.pop()
+        elif roll < 0.35:
+            fields.append(_numeric_field(int, rng))
+        elif roll < 0.45:
+            lines.append(_ODD_LINES[rng.integers(len(_ODD_LINES))])
+        lines.append(",".join(fields))
+    return lines
+
+
+def test_reader_outcome_equals_reference(tmp_path):
+    # 20 000 seeded tables, most of them valid: the C path must return the
+    # same arrays as csv.reader, or decline so that the error is the same
+    rng = np.random.default_rng(2022)
+    path = tmp_path / "table.csv"
+    for i in range(20000):
+        columns = _NUMERIC_TABLES[i % len(_NUMERIC_TABLES)]
+        head = ",".join(columns) if rng.random() < 0.95 else "t_s,counts"
+        lines = [head] + _numeric_body(list(columns.values()), rng)
+        # one table in ten also ends lines with "\r\n" or a bare "\r"
+        ends = rng.choice(["\n", "\r\n", "\r"], len(lines),
+                          p=[0.8, 0.1, 0.1] if i % 10 == 1 else [1, 0, 0])
+        text = "".join(line + end for line, end in zip(lines, ends))
+        if rng.random() < 0.1:
+            text = text[:-len(ends[-1])]
+        source = text
+        if "\n" not in text or i % 50 == 0:
+            path.write_bytes(text.encode())
+            source = str(path)
+        assert _outcome(read_csv_table, source, columns) == _outcome(
+            csv_reference.read_csv_table, source, columns), repr(text)
 
 
 class TestModels:

@@ -60,7 +60,6 @@ __all__ = [
     "SequencePlan",
     "compile_sequence",
     "bind_plan",
-    "run_plan",
     "simulate_sequence",
     "sequence_to_csv",
     "sequence_from_csv",
@@ -141,70 +140,48 @@ PROTOCOL_DEFAULTS = {
 }
 
 
+# Each protocol kind: its initial channel state, the durations it takes, in
+# order, and its events as (how many of those durations elapse before it,
+# channel, state). The MOT laser switched off first decides the prepared
+# hyperfine state.
+_PROTOCOLS = {
+    "transfer": (MOT_OPERATION, ("overlap_s",), (
+        (0, Channel.DIPOLE, True), (1, Channel.COOLING, False), (1, Channel.REPUMPER, False))),
+    "recapture": (DIPOLE_HOLD, ("overlap_s",), (
+        (0, Channel.COOLING, True), (0, Channel.REPUMPER, True), (1, Channel.DIPOLE, False))),
+    "prepare_f3": (MOT_OPERATION, ("overlap_s", "delay_s"), (
+        (0, Channel.DIPOLE, True), (1, Channel.REPUMPER, False), (2, Channel.COOLING, False))),
+    "prepare_f4": (MOT_OPERATION, ("overlap_s", "delay_s"), (
+        (0, Channel.DIPOLE, True), (1, Channel.COOLING, False), (2, Channel.REPUMPER, False))),
+    "detect": (DIPOLE_HOLD, ("gap_s", "window_s"), (
+        (0, Channel.DIPOLE, False), (1, Channel.DETECTION, True), (2, Channel.DETECTION, False))),
+    "mot_monitor": (MOT_OPERATION, ("duration_s",), ()),
+}
+
+
 def build_protocol(kind: str, **params) -> Sequence:
     """Canonical switching sequences of the few-atom experiment.
 
     kinds: transfer, recapture, prepare_f3, prepare_f4, detect, mot_monitor.
     Durations (seconds) default to PROTOCOL_DEFAULTS: overlap_s, delay_s,
     window_s (detection window); gap_s, the Pockels gap, to POCKELS_GAP_S;
-    and duration_s, the MOT monitoring span, to 1 s.
+    and duration_s, the MOT monitoring span, to 1 s. Each event's time is
+    the sum of the durations before it, and the sequence lasts them all.
     """
+    if not isinstance(kind, str) or kind not in _PROTOCOLS:
+        raise ValueError(f"unknown protocol kind: {kind!r}")
+    initial, names, events = _PROTOCOLS[kind]
     defaults = dict(PROTOCOL_DEFAULTS, gap_s=POCKELS_GAP_S, duration_s=1.0)
-
-    def pop(name):
+    ends = [0.0]
+    for name in names:
         v = float(params.pop(name, defaults[name]))
-        if v <= 0:
-            raise ValueError(f"{name} must be positive")
-        return v
-
-    def done(events, initial, duration):
-        if params:
-            raise ValueError(f"unknown parameters for {kind}: {sorted(params)}")
-        return Sequence(events, duration=duration, initial_state=dict(initial))
-
-    if kind == "transfer":
-        ov = pop("overlap_s")
-        ev = [
-            SequenceEvent(0.0, Channel.DIPOLE, True),
-            SequenceEvent(ov, Channel.COOLING, False),
-            SequenceEvent(ov, Channel.REPUMPER, False),
-        ]
-        return done(ev, MOT_OPERATION, ov)
-    if kind == "recapture":
-        ov = pop("overlap_s")
-        ev = [
-            SequenceEvent(0.0, Channel.COOLING, True),
-            SequenceEvent(0.0, Channel.REPUMPER, True),
-            SequenceEvent(ov, Channel.DIPOLE, False),
-        ]
-        return done(ev, DIPOLE_HOLD, ov)
-    if kind in ("prepare_f3", "prepare_f4"):
-        ov = pop("overlap_s")
-        delay = pop("delay_s")
-        first, second = (
-            (Channel.REPUMPER, Channel.COOLING)
-            if kind == "prepare_f3"
-            else (Channel.COOLING, Channel.REPUMPER)
-        )
-        ev = [
-            SequenceEvent(0.0, Channel.DIPOLE, True),
-            SequenceEvent(ov, first, False),
-            SequenceEvent(ov + delay, second, False),
-        ]
-        return done(ev, MOT_OPERATION, ov + delay)
-    if kind == "detect":
-        gap = pop("gap_s")
-        window = pop("window_s")
-        ev = [
-            SequenceEvent(0.0, Channel.DIPOLE, False),
-            SequenceEvent(gap, Channel.DETECTION, True),
-            SequenceEvent(gap + window, Channel.DETECTION, False),
-        ]
-        return done(ev, DIPOLE_HOLD, gap + window)
-    if kind == "mot_monitor":
-        duration = pop("duration_s")
-        return done([], MOT_OPERATION, duration)
-    raise ValueError(f"unknown protocol kind: {kind!r}")
+        if not 0 < v < math.inf:
+            raise ValueError(f"{name} must be positive and finite")
+        ends.append(ends[-1] + v)
+    if params:
+        raise ValueError(f"unknown parameters for {kind}: {sorted(params)}")
+    return Sequence([SequenceEvent(ends[k], channel, on) for k, channel, on in events],
+                    duration=ends[-1], initial_state=dict(initial))
 
 
 def chain(*parts) -> Sequence:
@@ -214,8 +191,8 @@ def chain(*parts) -> Sequence:
     initial = None
     for part in parts:
         if isinstance(part, (int, float)):
-            if part < 0:
-                raise ValueError("delays must be non-negative")
+            if not 0 <= part < math.inf:
+                raise ValueError("delays must be non-negative and finite")
             offset += float(part)
             continue
         if initial is None:
@@ -506,13 +483,12 @@ def bind_plan(plan: SequencePlan, physics: PhysicsBundle, traces: bool = False):
                 n4 = None  # the MOT light scrambles the hyperfine state
                 if law is not None:
                     n = _mot_draw(n, law, rng)
-                elif traced:
+                else:
                     traj = gillespie_mot(mot, n, ph.dt, rng)
                     n = traj.final_value()
-                    out.append((cat, synthesize_mot_trace(traj, det, rng,
-                                                          overlap=cat == "overlap")))
-                else:
-                    n = gillespie_mot(mot, n, ph.dt, rng).final_value()
+                    if traced:
+                        out.append((cat, synthesize_mot_trace(traj, det, rng,
+                                                              overlap=cat == "overlap")))
             elif cat == "hold":
                 survival, occupations = law
                 if ph.tracks_f and n4 is not None:
@@ -540,20 +516,6 @@ def bind_plan(plan: SequencePlan, physics: PhysicsBundle, traces: bool = False):
                          survivors=survivors, recaptured_n=recaptured_n, final_n=n)
 
     return run
-
-
-def run_plan(
-    plan: SequencePlan,
-    initial_n: int,
-    physics: PhysicsBundle,
-    rng: np.random.Generator,
-    traces: bool = False,
-) -> RunRecord:
-    """One run of a compiled sequence: bind_plan(plan, physics, traces)(initial_n, rng).
-
-    Bind once and call the bound run to run a sequence many times.
-    """
-    return bind_plan(plan, physics, traces)(initial_n, rng)
 
 
 def simulate_sequence(

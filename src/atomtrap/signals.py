@@ -206,12 +206,17 @@ class PhotonTrace:
 
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=np.int64)
-        if not self.bin_width > 0:
-            raise ValueError("bin_width must be positive")
+        if not 0 < self.bin_width < np.inf:
+            raise ValueError("bin_width must be positive and finite")
         if self.counts.ndim != 1 or len(self.counts) == 0:
             raise ValueError("counts must be a non-empty 1-D array")
         if np.any(self.counts < 0):
             raise ValueError("counts must be non-negative")
+        if not -np.inf < self.t0 < np.inf:
+            raise ValueError("t0 must be finite")
+        if not -np.inf < self.t0 + self.bin_width * (len(self.counts) - 1) < np.inf:
+            raise ValueError("the last bin start, t0 + bin_width * (len(counts) - 1), "
+                             "must be finite")
 
     @property
     def bin_starts(self) -> np.ndarray:
@@ -263,8 +268,10 @@ def bin_expected_counts(times, rates, t_end: float, bin_width: float) -> np.ndar
     """Expected counts per bin over [0, t_end) of the piecewise-constant rate
     that is rates[i] from times[i] until times[i+1] (and rates[0] before
     times[0]); a trailing partial bin is dropped."""
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
+    if not 0 < t_end < np.inf:
+        raise ValueError("t_end must be positive and finite")
+    if not 0 < bin_width < np.inf:
+        raise ValueError("bin_width must be positive and finite")
     n_bins = int(np.floor(t_end / bin_width + 1e-9))
     if n_bins < 1:
         raise ValueError("interval shorter than one bin")

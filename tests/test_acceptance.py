@@ -6,6 +6,7 @@ runtime budgets.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 from scipy.constants import k as k_B
@@ -247,8 +248,7 @@ def test_criterion_12_determinism(capsys, tmp_path):
         for sub in ("a", "b"):
             ds = at.run_experiment(at.parse_config(cfg_text))
             paths = at.export_dataset(ds, str(tmp_path / sub / kind))
-            blobs.append({p.rsplit("/", 1)[-1]: open(p, "rb").read()
-                          for p in paths})
+            blobs.append({p.rsplit("/", 1)[-1]: Path(p).read_bytes() for p in paths})
         if blobs[0] != blobs[1]:
             identical = False
     report(capsys, 12, identical,

@@ -8,6 +8,7 @@ of the kinds it affects.
 
 import hashlib
 import os
+from pathlib import Path
 
 import pytest
 
@@ -58,6 +59,6 @@ DIGESTS = {
 def test_export_digests(kind, tmp_path):
     cfg = parse_config(f"[experiment]\nkind = {kind}\nmaster_seed = 12\n{CONFIGS[kind]}\n")
     paths = export_dataset(run_experiment(cfg), str(tmp_path))
-    digests = {os.path.basename(p): hashlib.sha256(open(p, "rb").read()).hexdigest()
+    digests = {os.path.basename(p): hashlib.sha256(Path(p).read_bytes()).hexdigest()
                for p in paths}
     assert digests == DIGESTS[kind]

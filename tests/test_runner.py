@@ -1,6 +1,7 @@
 import json
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,14 +314,14 @@ class TestExport:
         ds = run_experiment(small("lifetime", repetitions=5))
         paths = export_dataset(ds, str(tmp_path))
         csv_path = next(p for p in paths if p.endswith("lifetime.csv"))
-        header = open(csv_path).readline().strip()
+        header = Path(csv_path).read_text().splitlines()[0].strip()
         assert header == "t_hold_s,survived,total,fraction"
 
     def test_relaxation_csv_header(self, tmp_path):
         ds = run_experiment(small("relaxation", repetitions=2))
         paths = export_dataset(ds, str(tmp_path))
         csv_path = next(p for p in paths if p.endswith("relaxation.csv"))
-        assert open(csv_path).readline().strip() == "t_s,f_initial,p4,n"
+        assert Path(csv_path).read_text().splitlines()[0].strip() == "t_s,f_initial,p4,n"
 
     def test_json_reimport_exact(self, tmp_path):
         ds = run_experiment(small("lifetime", repetitions=5))
@@ -343,7 +344,7 @@ class TestExport:
     def test_lf_line_endings_and_sorted_keys(self, tmp_path):
         ds = run_experiment(small("lifetime", repetitions=3))
         paths = export_dataset(ds, str(tmp_path))
-        raw = open(next(p for p in paths if p.endswith(".json")), "rb").read()
+        raw = Path(next(p for p in paths if p.endswith(".json"))).read_bytes()
         assert b"\r" not in raw
         rec = json.loads(raw)
         assert list(rec) == sorted(rec)

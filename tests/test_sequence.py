@@ -27,7 +27,6 @@ from atomtrap import (
     dipole_survival,
     gillespie_mot,
     magnetic_trap_survival,
-    run_plan,
     run_stream,
     sequence_from_csv,
     sequence_to_csv,
@@ -37,6 +36,28 @@ from atomtrap import (
 from atomtrap.sequence import HOLD_GRACE_S, MIXED_STATE_P4
 import plan_reference
 from two_sample import chi2_two_sample
+
+# Each kind at durations other than its defaults: (durations, initial state,
+# events, duration); every time is the exact sum of the durations before it.
+OV, DELAY, GAP, WINDOW, SPAN = 3.1e-3, 7.3e-3, 61e-6, 1.7e-3, 0.37
+PINNED_PROTOCOLS = {
+    "transfer": ({"overlap_s": OV}, MOT_OPERATION, [
+        (0.0, Channel.DIPOLE, True), (OV, Channel.COOLING, False),
+        (OV, Channel.REPUMPER, False)], OV),
+    "recapture": ({"overlap_s": OV}, DIPOLE_HOLD, [
+        (0.0, Channel.COOLING, True), (0.0, Channel.REPUMPER, True),
+        (OV, Channel.DIPOLE, False)], OV),
+    "prepare_f3": ({"overlap_s": OV, "delay_s": DELAY}, MOT_OPERATION, [
+        (0.0, Channel.DIPOLE, True), (OV, Channel.REPUMPER, False),
+        (OV + DELAY, Channel.COOLING, False)], OV + DELAY),
+    "prepare_f4": ({"overlap_s": OV, "delay_s": DELAY}, MOT_OPERATION, [
+        (0.0, Channel.DIPOLE, True), (OV, Channel.COOLING, False),
+        (OV + DELAY, Channel.REPUMPER, False)], OV + DELAY),
+    "detect": ({"gap_s": GAP, "window_s": WINDOW}, DIPOLE_HOLD, [
+        (0.0, Channel.DIPOLE, False), (GAP, Channel.DETECTION, True),
+        (GAP + WINDOW, Channel.DETECTION, False)], GAP + WINDOW),
+    "mot_monitor": ({"duration_s": SPAN}, MOT_OPERATION, [], SPAN),
+}
 
 
 class TestBuildProtocol:
@@ -94,6 +115,21 @@ class TestBuildProtocol:
         with pytest.raises(ValueError):
             build_protocol("transfer", bogus_s=1.0)
 
+    @pytest.mark.parametrize("kind", sorted(PINNED_PROTOCOLS))
+    def test_events_pinned_at_non_default_durations(self, kind):
+        params, initial, events, duration = PINNED_PROTOCOLS[kind]
+        seq = build_protocol(kind, **params)
+        assert seq.initial_state == initial
+        assert [(e.time, e.channel, e.state) for e in seq.events] == events
+        assert seq.duration == duration
+
+    @pytest.mark.parametrize("kind, name", [(kind, name) for kind, (params, *_) in
+                                            sorted(PINNED_PROTOCOLS.items()) for name in params])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_bad_duration_named(self, kind, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite$"):
+            build_protocol(kind, **{name: value})
+
 
 class TestChain:
     def test_offsets(self):
@@ -117,6 +153,11 @@ class TestChain:
     @pytest.mark.parametrize("delay", [float("nan"), float("inf")])
     def test_non_finite_delay(self, delay):
         with pytest.raises(ValueError, match="finite"):
+            chain(build_protocol("transfer"), delay, build_protocol("recapture"))
+
+    @pytest.mark.parametrize("delay", [float("nan"), float("inf"), -1.0])
+    def test_bad_delay_named(self, delay):
+        with pytest.raises(ValueError, match="^delays must be non-negative and finite$"):
             chain(build_protocol("transfer"), delay, build_protocol("recapture"))
 
 
@@ -407,7 +448,7 @@ class TestCompileSequence:
         assert [ph.dt for ph in plan.phases] == pytest.approx([5e-3, 8e-3, 0.0, 50e-6, 2e-3])
         physics = PhysicsBundle(burst=BurstModel(background_photons_per_window=0.0))
         for i in range(50):
-            rec = run_plan(plan, 3, physics, run_stream(4, i))
+            rec = bind_plan(plan, physics)(3, run_stream(4, i))
             assert (rec.prepared_state, rec.survivors) == (f, rec.final_n)
             burst = next(tr for name, tr in rec.traces if name == "detect")
             if f == "3":
@@ -462,9 +503,9 @@ class TestRunPlan:
         seq = chain(build_protocol("mot_monitor", duration_s=1.0),
                     build_protocol("prepare_f4"), 0.5, build_protocol("detect"))
         plan = compile_sequence(seq)
-        lean = run_plan(plan, 2, bundle, run_stream(30, 0))
+        lean = bind_plan(plan, bundle)(2, run_stream(30, 0))
         assert [name for name, _ in lean.traces] == ["detect"]
-        full = run_plan(plan, 2, bundle, run_stream(30, 0), traces=True)
+        full = bind_plan(plan, bundle, traces=True)(2, run_stream(30, 0))
         assert [name for name, _ in full.traces] == ["mot", "hold", "detect"]
 
     def test_simulate_sequence_is_compile_and_run_with_traces(self):
@@ -472,7 +513,7 @@ class TestRunPlan:
         seq = chain(build_protocol("mot_monitor", duration_s=1.0),
                     build_protocol("transfer"), 2.0, build_protocol("recapture"))
         a = simulate_sequence(seq, 2, bundle, run_stream(31, 3))
-        b = run_plan(compile_sequence(seq), 2, bundle, run_stream(31, 3), traces=True)
+        b = bind_plan(compile_sequence(seq), bundle, traces=True)(2, run_stream(31, 3))
         assert (a.prepared_n, a.recaptured_n, a.final_n) == (b.prepared_n, b.recaptured_n, b.final_n)
         assert [n for n, _ in a.traces] == [n for n, _ in b.traces] == ["mot", "hold"]
         for (_, ta), (_, tb) in zip(a.traces, b.traces):
@@ -483,13 +524,13 @@ class TestRunPlan:
                                                   two_body_pair_rate=100.0))
         plan = compile_sequence(
             chain(build_protocol("transfer"), 0.1, build_protocol("recapture")))
-        rec = run_plan(plan, 3, bundle, run_stream(32, 0))
+        rec = bind_plan(plan, bundle)(3, run_stream(32, 0))
         assert 0 <= rec.recaptured_n <= rec.prepared_n
 
     def test_negative_atoms_rejected(self):
         plan = compile_sequence(build_protocol("transfer"))
         with pytest.raises(ValueError):
-            run_plan(plan, -1, PhysicsBundle(), run_stream(0, 0))
+            bind_plan(plan, PhysicsBundle())(-1, run_stream(0, 0))
 
     # Branches that no experiment kind takes, each against its law. With no
     # burst background a window holds Poisson(mean_photons_per_atom * n4)
@@ -499,7 +540,7 @@ class TestRunPlan:
     def window_counts(self, plan, n0, physics, seed):
         counts = []
         for i in range(self.RUNS):
-            rec = run_plan(plan, n0, physics, run_stream(seed, i))
+            rec = bind_plan(plan, physics)(n0, run_stream(seed, i))
             counts.append(int(next(tr for name, tr in rec.traces if name == "detect").counts.sum()))
         return counts
 
@@ -515,7 +556,7 @@ class TestRunPlan:
         plan = compile_sequence(seq)
         assert [ph.category for ph in plan.phases] == ["magnetic_hold"]
         physics = PhysicsBundle(magnetic_lifetime=40.0)
-        held = [run_plan(plan, 6, physics, run_stream(35, i)).survivors
+        held = [bind_plan(plan, physics)(6, run_stream(35, i)).survivors
                 for i in range(self.RUNS)]
         direct = [magnetic_trap_survival(6, 40.0, 30.0, run_stream(36, i))
                   for i in range(self.RUNS)]
@@ -603,7 +644,7 @@ def test_transfer_recapture_distribution_matches_path_reference():
     runs = 4000
     new = []
     for i in range(runs):
-        rec = run_plan(plan, 3, physics, run_stream(33, i))
+        rec = bind_plan(plan, physics)(3, run_stream(33, i))
         new.append((rec.prepared_n, rec.recaptured_n))
     old = [_old_transfer_hold_recapture(3, physics, 1.0, 5e-3, run_stream(34, i))
            for i in range(runs)]

@@ -38,6 +38,17 @@ class TestBinExpectedCounts:
         with pytest.raises(ValueError):
             bin_expected_counts([0.0], [1.0], 0.05, 0.1)
 
+    @pytest.mark.parametrize("t_end, bin_width, name", [
+        *[(t_end, 0.1, "t_end") for t_end in (float("inf"), float("nan"), 0.0, -1.0)],
+        *[(1.0, width, "bin_width") for width in (float("nan"), 0.0, -0.1, float("inf"))],
+    ])
+    def test_bad_interval_named(self, t_end, bin_width, name):
+        message = f"^{name} must be positive and finite$"
+        with pytest.raises(ValueError, match=message):
+            bin_expected_counts([0.0], [1.0], t_end, bin_width)
+        with pytest.raises(ValueError, match=message):
+            synthesize_counts([0.0], [1.0], t_end, bin_width, run_stream(0, 0))
+
     @pytest.mark.parametrize("times, rates", [
         ([], []), ([0.0, 1.0], [1.0]), ([0.0, 0.5, 0.5], [1.0, 2.0, 3.0]),
         ([0.0, 0.5], [1.0, float("nan")]),
@@ -281,6 +292,17 @@ class TestPhotonTraceCsv:
             PhotonTrace(t0=0.0, bin_width=0.1, counts=[-1])
         with pytest.raises(ValueError):
             PhotonTrace(t0=0.0, bin_width=0.1, counts=[])
+
+    @pytest.mark.parametrize("t0, width, message", [
+        *[(t0, 0.1, "t0 must be finite") for t0 in (float("nan"), float("inf"), -float("inf"))],
+        *[(0.0, width, "bin_width must be positive and finite")
+          for width in (float("nan"), float("inf"), 0.0, -0.1)],
+        (1e308, 1e308, "the last bin start, t0 + bin_width * (len(counts) - 1), must be finite"),
+    ])
+    def test_non_finite_bin_starts_rejected(self, t0, width, message):
+        # to_csv would write starts that from_csv rejects, or warn on the way
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PhotonTrace(t0=t0, bin_width=width, counts=[1, 2])
 
 
 class TestReadCsvTable:

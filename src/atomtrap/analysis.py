@@ -70,7 +70,6 @@ class FitResult:
     covariance: np.ndarray
     log_likelihood: float
     n_points: int
-    bootstrap_errors: dict[str, float] | None = None
 
     def to_json(self) -> str:
         names = list(self.parameters)
@@ -82,8 +81,6 @@ class FitResult:
             "log_likelihood": self.log_likelihood,
             "n_points": self.n_points,
         }
-        if self.bootstrap_errors is not None:
-            rec["bootstrap_errors"] = [self.bootstrap_errors[k] for k in names]
         return json.dumps(rec, sort_keys=True)
 
 
@@ -397,37 +394,11 @@ def _newton_direction(g, observed, fisher):
     return None
 
 
-def _bootstrap_errors(model: _BinomialModel, fit: FitResult, param_names, lower, upper,
-                      n_resamples: int, seed: int = 0) -> dict[str, float]:
-    rng = np.random.default_rng(seed)
-    x_hat = np.array([fit.parameters[k] for k in param_names])
-    p_hat = np.clip(model.curve.p(model.t, x_hat), 0.0, 1.0)
-    draws = []
-    for _ in range(n_resamples):
-        succ = rng.binomial(model.tot.astype(int), p_hat)
-        resampled = _BinomialModel(model.t, succ, model.tot, model.curve)
-        try:
-            refit = resampled.solve(x_hat, param_names, lower, upper)
-        except FitError:
-            continue
-        draws.append([refit.parameters[k] for k in param_names])
-    if len(draws) < max(10, n_resamples // 2):
-        raise FitError("bootstrap resampling failed to converge")
-    sd = np.std(np.array(draws), axis=0, ddof=1)
-    return dict(zip(param_names, (float(s) for s in sd)))
-
-
-def _fit(model: _BinomialModel, starts, names, lower, upper, bootstrap: int, what: str) -> FitResult:
+def _fit(model: _BinomialModel, starts, names, lower, upper, what: str) -> FitResult:
     """Highest-likelihood fit over the starting points that converge.
 
-    With bootstrap > 0 the fit carries parametric bootstrap errors from
-    that many resamples. Raises ValueError for a bootstrap count below 10
-    other than 0, which could never give the 10 converged resamples that
-    _bootstrap_errors needs, and FitError with the last start's reason
-    when no start converges.
+    Raises FitError with the last start's reason when no start converges.
     """
-    if bootstrap != 0 and bootstrap < 10:
-        raise ValueError(f"bootstrap needs 0 or at least 10 resamples, got {bootstrap}")
     best = reason = None
     for x0 in starts:
         try:
@@ -439,12 +410,10 @@ def _fit(model: _BinomialModel, starts, names, lower, upper, bootstrap: int, wha
             best = fit
     if best is None:
         raise FitError(f"{what} did not converge from any starting point: {reason}") from reason
-    if bootstrap:
-        best.bootstrap_errors = _bootstrap_errors(model, best, names, lower, upper, bootstrap)
     return best
 
 
-def fit_exponential_survival(points, offset_free: bool = False, bootstrap: int = 0) -> FitResult:
+def fit_exponential_survival(points, offset_free: bool = False) -> FitResult:
     """Binomial MLE of the survival curve p(t) = a * exp(-t/tau).
 
     points: iterable of (t_hold_s, survived, total). The amplitude a is
@@ -458,6 +427,8 @@ def fit_exponential_survival(points, offset_free: bool = False, bootstrap: int =
     t = np.array([p[0] for p in pts])
     succ = np.array([p[1] for p in pts])
     tot = np.array([p[2] for p in pts])
+    if not np.all((0 <= t) & (t < np.inf)):  # NaN fails too
+        raise ValueError("hold times must be non-negative and finite")
     if np.any(tot <= 0) or np.any(succ < 0) or np.any(succ > tot):
         raise ValueError("require 0 <= survived <= total and total > 0")
     if np.all(succ == tot) or np.all(succ == 0):
@@ -478,8 +449,7 @@ def fit_exponential_survival(points, offset_free: bool = False, bootstrap: int =
         x0 = [tau0]
         lower, upper = np.array([1e-9]), np.array([np.inf])
         curve = _DecayCurve(eq=0.0, start=1.0)
-    return _fit(_BinomialModel(t, succ, tot, curve), [x0], names, lower, upper, bootstrap,
-                "survival fit")
+    return _fit(_BinomialModel(t, succ, tot, curve), [x0], names, lower, upper, "survival fit")
 
 
 def _relaxation_arm(points):
@@ -487,12 +457,15 @@ def _relaxation_arm(points):
     t = np.array([p[0] for p in pts])
     p4 = np.array([p[1] for p in pts])
     tot = np.array([p[2] for p in pts])
-    if np.any(tot <= 0) or np.any(p4 < 0) or np.any(p4 > 1):
+    # written so that NaN fails each check
+    if not np.all((0 <= t) & (t < np.inf)):
+        raise ValueError("times must be non-negative and finite")
+    if np.any(tot <= 0) or not np.all((0 <= p4) & (p4 <= 1)):
         raise ValueError("require n_atoms > 0 and p4 in [0, 1]")
     return t, p4, tot
 
 
-def fit_relaxation(points, f_initial: int, bootstrap: int = 0) -> FitResult:
+def fit_relaxation(points, f_initial: int) -> FitResult:
     """Binomial MLE of P4(t) = P4eq + (P4(0) - P4eq) exp(-t/tau).
 
     points: iterable of (t_s, p4_hat, n_atoms); successes are
@@ -518,10 +491,10 @@ def fit_relaxation(points, f_initial: int, bootstrap: int = 0) -> FitResult:
         [tau0, min(max(peq_guess, 0.05), 0.95), min(max(p0_guess, 0.02), 0.98)]
         for tau0 in span * np.array([0.1, 0.3, 1.0, 3.0])
     ]
-    return _fit(model, starts, names, lower, upper, bootstrap, "relaxation fit")
+    return _fit(model, starts, names, lower, upper, "relaxation fit")
 
 
-def fit_relaxation_joint(points_f3, points_f4, bootstrap: int = 0) -> FitResult:
+def fit_relaxation_joint(points_f3, points_f4) -> FitResult:
     """Joint binomial MLE of both preparation arms with pure initial states.
 
     Shares (tau, p4_eq) between the arms and pins P4(0) to 0 and 1; this
@@ -543,4 +516,4 @@ def fit_relaxation_joint(points_f3, points_f4, bootstrap: int = 0) -> FitResult:
     names = ("tau", "p4_eq")
     lower, upper = np.array([1e-9, 0.0]), np.array([np.inf, 1.0])
     starts = [[tau0, 0.5] for tau0 in span * np.array([0.1, 0.3, 1.0])]
-    return _fit(model, starts, names, lower, upper, bootstrap, "joint relaxation fit")
+    return _fit(model, starts, names, lower, upper, "joint relaxation fit")

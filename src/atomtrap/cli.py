@@ -82,8 +82,6 @@ def _build_parser() -> _Parser:
                    help="fit the survival amplitude instead of pinning it to 1")
     p.add_argument("--f-initial", type=int, choices=(3, 4), default=None,
                    help="prepared state for a single-arm relaxation fit")
-    p.add_argument("--bootstrap", type=count, default=0,
-                   help="number of parametric bootstrap resamples")
     add_out(p)
 
     p = sub.add_parser("validate-seq", help="check a switching-sequence CSV for violations")
@@ -158,23 +156,23 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    if args.offset_free and args.model != "survival":
+        raise ValueError("--offset-free applies only to the survival model")
+    if args.f_initial is not None and (args.model, len(args.data)) != ("relaxation", 1):
+        raise ValueError("--f-initial applies only to a single-arm relaxation fit")
     if args.model == "survival":
         if len(args.data) != 1:
             raise ValueError("the survival model takes exactly one data file")
         pts = _read_fit_csv(args.data[0], _SURVIVAL_COLUMNS)
-        fit = fit_exponential_survival(
-            pts,
-            offset_free=args.offset_free,
-            bootstrap=args.bootstrap,
-        )
+        fit = fit_exponential_survival(pts, offset_free=args.offset_free)
     elif len(args.data) == 1:
         if args.f_initial is None:
             raise ValueError("a single-arm relaxation fit needs --f-initial {3,4}")
         pts = _read_fit_csv(args.data[0], _RELAXATION_COLUMNS)
-        fit = fit_relaxation(pts, f_initial=args.f_initial, bootstrap=args.bootstrap)
+        fit = fit_relaxation(pts, f_initial=args.f_initial)
     elif len(args.data) == 2:
         p3, p4 = (_read_fit_csv(path, _RELAXATION_COLUMNS) for path in args.data)
-        fit = fit_relaxation_joint(p3, p4, bootstrap=args.bootstrap)
+        fit = fit_relaxation_joint(p3, p4)
     else:
         raise ValueError("the relaxation model takes one or two data files")
     _write_or_print(fit.to_json() + "\n", args.out)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import re
 import warnings
 from collections.abc import Callable
@@ -193,7 +194,7 @@ def _nine_digits_suffice(starts: np.ndarray, width: float) -> bool:
         return False
     # the decimal exponent of top rounded to 9 digits, as %.9g writes it
     unit = 10.0 ** (int(f"{top:.8e}".partition("e")[2]) - 8)
-    return 4 * (unit + 64 * float(np.spacing(top))) <= BIN_SPACING_TOLERANCE * width
+    return 4 * (unit + 64 * math.ulp(top)) <= BIN_SPACING_TOLERANCE * width
 
 
 @dataclass
@@ -231,7 +232,11 @@ class PhotonTrace:
         if len(starts) >= 2 and not _nine_digits_suffice(starts, self.bin_width):
             times = starts.tolist()
             for digits in range(9, 17):
-                spacing = np.diff(np.array(list(map(f"%.{digits}g".__mod__, times)), dtype=float))
+                parsed = np.array(list(map(f"%.{digits}g".__mod__, times)), dtype=float)
+                # near DBL_MAX a start may round past it and parse back as inf
+                if not np.isfinite(parsed).all():
+                    continue
+                spacing = np.diff(parsed)
                 if not (_off(spacing, self.bin_width).any()
                         or _off(spacing, float(np.median(spacing))).any()):
                     break

@@ -323,14 +323,6 @@ class TestSurvivalFit:
         assert np.allclose(cov, cov.T)
         assert np.all(np.linalg.eigvalsh(cov) >= -1e-12)
 
-    def test_bootstrap_cross_check(self):
-        rng = run_stream(108, 0)
-        pts = [(t, int(rng.binomial(400, np.exp(-t / 51))), 400)
-               for t in (1, 5, 10, 20, 40, 60, 80)]
-        fit = fit_exponential_survival(pts, bootstrap=60)
-        se = fit.standard_errors["tau"]
-        assert fit.bootstrap_errors["tau"] == pytest.approx(se, rel=0.5)
-
 
 class TestRelaxationFit:
     TAU = 1 / 0.264
@@ -476,35 +468,52 @@ SURVIVAL_POINTS = [(1, 390, 400), (20, 260, 400), (60, 120, 400)]
 F3_POINTS = [(1.0, 0.21, 90), (2.0, 0.33, 90), (4.0, 0.46, 90), (8.0, 0.55, 90)]
 F4_POINTS = [(1.0, 0.88, 90), (2.0, 0.79, 90), (4.0, 0.66, 90), (8.0, 0.58, 90)]
 FITTERS = {
-    "survival": lambda bootstrap: fit_exponential_survival(SURVIVAL_POINTS, bootstrap=bootstrap),
-    "relaxation": lambda bootstrap: fit_relaxation(F3_POINTS, f_initial=3, bootstrap=bootstrap),
-    "joint": lambda bootstrap: fit_relaxation_joint(F3_POINTS, F4_POINTS, bootstrap=bootstrap),
+    "survival": lambda **kw: fit_exponential_survival(SURVIVAL_POINTS, **kw),
+    "relaxation": lambda **kw: fit_relaxation(F3_POINTS, f_initial=3, **kw),
+    "joint": lambda **kw: fit_relaxation_joint(F3_POINTS, F4_POINTS, **kw),
+}
+
+
+def _with_first_point(points, t=None, p4=None):
+    (t0, y0, n0), *rest = points
+    return [(t0 if t is None else t, y0 if p4 is None else p4, n0), *rest]
+
+
+# each fitter on points whose first entry holds one bad time or p4
+BAD_INPUT_FITS = {
+    "survival": lambda **bad: fit_exponential_survival(_with_first_point(SURVIVAL_POINTS, **bad)),
+    "relaxation": lambda **bad: fit_relaxation(_with_first_point(F3_POINTS, **bad), f_initial=3),
+    "joint": lambda **bad: fit_relaxation_joint(F3_POINTS, _with_first_point(F4_POINTS, **bad)),
 }
 
 
 class TestFitDriver:
-    @pytest.mark.parametrize("fitter", sorted(FITTERS))
-    @pytest.mark.parametrize("bootstrap", [1, 5, 9, -3])
-    def test_too_few_resamples_rejected_before_fitting(self, fitter, bootstrap, monkeypatch):
-        def solve(*args):
-            raise AssertionError("a fit ran")
-        monkeypatch.setattr(_BinomialModel, "solve", solve)
-        with pytest.raises(ValueError, match=f"^bootstrap needs 0 or at least 10 resamples, "
-                                             f"got {bootstrap}$"):
-            FITTERS[fitter](bootstrap)
-
-    @pytest.mark.parametrize("fitter", sorted(FITTERS))
-    def test_ten_resamples_suffice(self, fitter):
-        fit = FITTERS[fitter](10)
-        assert set(fit.bootstrap_errors) == set(fit.parameters)
-
     @pytest.mark.parametrize("fitter", sorted(FITTERS))
     def test_failure_carries_the_solver_reason(self, fitter, monkeypatch):
         def solve(*args):
             raise FitError("fit did not converge (gradient norm 0.5)")
         monkeypatch.setattr(_BinomialModel, "solve", solve)
         with pytest.raises(FitError, match=r"gradient norm 0\.5"):
-            FITTERS[fitter](0)
+            FITTERS[fitter]()
+
+    @pytest.mark.parametrize("fitter", sorted(FITTERS))
+    def test_bootstrap_keyword_is_gone(self, fitter):
+        with pytest.raises(TypeError, match="bootstrap"):
+            FITTERS[fitter](bootstrap=10)
+
+    @pytest.mark.parametrize("fitter, field, value", [
+        *((fitter, "t", t) for fitter in sorted(BAD_INPUT_FITS)
+          for t in (float("nan"), float("inf"), -1.0)),
+        ("relaxation", "p4", float("nan")),
+        ("joint", "p4", float("nan")),
+    ])
+    def test_bad_input_named_before_fitting(self, fitter, field, value, monkeypatch):
+        def solve(*args):
+            raise AssertionError("a fit ran")
+        monkeypatch.setattr(_BinomialModel, "solve", solve)
+        match = "times must be non-negative and finite" if field == "t" else r"p4 in \[0, 1\]"
+        with pytest.raises(ValueError, match=match):
+            BAD_INPUT_FITS[fitter](**{field: value})
 
 
 class TestFitResultJson:
@@ -515,7 +524,6 @@ class TestFitResultJson:
             covariance=np.array([[9.0, 0.1], [0.1, 4e-4]]),
             log_likelihood=-12.5,
             n_points=7,
-            bootstrap_errors={"tau": 3.5, "a": 0.03},
         )
         rec = json.loads(fit.to_json())
         assert rec["parameter_names"] == ["tau", "a"]
@@ -524,7 +532,6 @@ class TestFitResultJson:
         assert rec["covariance_row_major"] == [9.0, 0.1, 0.1, 4e-4]
         assert rec["log_likelihood"] == -12.5
         assert rec["n_points"] == 7
-        assert rec["bootstrap_errors"] == [3.5, 0.03]
 
     def test_documented_record_fields(self):
         fit = FitResult({"tau": 1.0}, {"tau": 0.1}, np.array([[0.01]]), -1.0, 3)

@@ -180,33 +180,44 @@ class TestFit:
         assert code == 0
         assert out == fit_relaxation(points, f_initial=3).to_json() + "\n"
 
-    def test_bootstrap_errors_in_output_round_trip(self, tmp_path, capsys):
+    def test_survival_matches_fit_exponential_survival(self, tmp_path, capsys):
         path = tmp_path / "surv.csv"
         path.write_text(SURVIVAL_CSV)
-        code, out, _ = run_cli(capsys, "fit", str(path), "--model", "survival",
-                               "--bootstrap", "20")
+        code, out, _ = run_cli(capsys, "fit", str(path), "--model", "survival")
         assert code == 0
         rec = json.loads(out)
         assert rec["parameter_names"] == ["tau"]
-        assert rec["bootstrap_errors"][0] > 0
-        fit = fit_exponential_survival([(1, 390, 400), (20, 260, 400), (60, 120, 400)],
-                                       bootstrap=20)
+        fit = fit_exponential_survival([(1, 390, 400), (20, 260, 400), (60, 120, 400)])
         assert rec["values"] == [fit.parameters["tau"]]
         assert rec["standard_errors"] == [fit.standard_errors["tau"]]
         assert rec["covariance_row_major"] == [float(fit.covariance[0, 0])]
         assert rec["log_likelihood"] == fit.log_likelihood
         assert rec["n_points"] == fit.n_points == 3
-        assert rec["bootstrap_errors"] == [fit.bootstrap_errors["tau"]]
 
-    @pytest.mark.parametrize("count", ["1", "5", "9"])
-    def test_too_few_bootstrap_resamples_is_data_error(self, tmp_path, capsys, count):
+    def test_bootstrap_option_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "surv.csv"
         path.write_text(SURVIVAL_CSV)
-        code, out, err = run_cli(capsys, "fit", str(path), "--model", "survival",
-                                 "--bootstrap", count)
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", str(path), "--model", "survival", "--bootstrap", "10"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --bootstrap 10" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("files, argv, option", [
+        (("surv.csv",), ("--model", "survival", "--f-initial", "3"), "--f-initial"),
+        (("f3.csv", "f4.csv"), ("--model", "relaxation", "--f-initial", "4"), "--f-initial"),
+        (("f3.csv",), ("--model", "relaxation", "--f-initial", "3", "--offset-free"),
+         "--offset-free"),
+        (("f3.csv", "f4.csv"), ("--model", "relaxation", "--offset-free"), "--offset-free"),
+    ])
+    def test_option_the_fit_does_not_read_is_data_error(self, tmp_path, capsys,
+                                                        files, argv, option):
+        (tmp_path / "surv.csv").write_text(SURVIVAL_CSV)
+        (tmp_path / "f3.csv").write_text("t_s,p4,n\n1,0.21,90\n2,0.33,90\n4,0.46,90\n")
+        (tmp_path / "f4.csv").write_text("t_s,p4,n\n1,0.88,90\n2,0.79,90\n4,0.66,90\n")
+        code, out, err = run_cli(capsys, "fit", *(str(tmp_path / f) for f in files), *argv)
         assert code == 2
         assert out == ""
-        assert f"bootstrap needs 0 or at least 10 resamples, got {count}" in err
+        assert f"atomtrap: {option} applies only to " in err
 
     def test_relaxation_joint(self, tmp_path, capsys):
         import numpy as np
@@ -375,8 +386,6 @@ class TestUsageErrors:
         (("analyze", "trace.csv", "--per-atom-rate=-1"), "--per-atom-rate", "positive", "-1"),
         (("analyze", "trace.csv", "--background-rate=-1"), "--background-rate",
          "non_negative", "-1"),
-        (("fit", "data.csv", "--model", "survival", "--bootstrap=-1"), "--bootstrap",
-         "count", "-1"),
     ])
     def test_out_of_range_option_is_usage_error(self, argv, argument, parser, value, capsys):
         # rejected while parsing, before any input file is read, and named

@@ -1,4 +1,6 @@
 import re
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +24,8 @@ from atomtrap.signals import (
     read_csv_table,
 )
 import csv_reference
+
+DBL_MAX = sys.float_info.max
 
 
 class TestBinExpectedCounts:
@@ -286,6 +290,21 @@ class TestPhotonTraceCsv:
                     for n in (1, 2, 3, 1000):
                         tr = PhotonTrace(t0=t0, bin_width=width, counts=rng.poisson(50.0, n))
                         assert tr.to_csv() == csv_reference.to_csv(tr), (t0, width, n)
+
+    @pytest.mark.parametrize("t0, width", [
+        (-DBL_MAX, DBL_MAX), (DBL_MAX, 1.0), (0.9999999999 * DBL_MAX, 1.0),
+    ])
+    def test_starts_near_dbl_max_write_without_warning(self, t0, width):
+        # the digit bound must not overflow at DBL_MAX, and the digit search
+        # must skip a digit count whose rounding parses back as inf
+        tr = PhotonTrace(t0=t0, bin_width=width, counts=[1, 1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            text = tr.to_csv()
+        starts = [float(row.split(",")[0]) for row in text.splitlines()[1:]]
+        assert np.isfinite(starts).all()
+        if width == DBL_MAX:
+            assert text == csv_reference.to_csv(tr)
 
     def test_invalid_counts(self):
         with pytest.raises(ValueError):

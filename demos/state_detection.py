@@ -4,7 +4,7 @@ Synthesizes the short fluorescence bursts recorded during the 2 ms
 detection window for atoms prepared in F=4 (bright) and F=3 (dark),
 shows the Bayesian classifier's posterior, and measures the empirical
 true/false positive rates of the simple counts >= 2 threshold against
-the closed-form Poisson tails.
+the Poisson tails of burst_count_logpmf.
 """
 
 import numpy as np
@@ -27,8 +27,8 @@ bright = np.array([at.synthesize_detection_burst(1, model, rng).counts.sum()
 dark = np.array([at.synthesize_detection_burst(0, model, rng).counts.sum()
                  for _ in range(n)])
 tpr, fpr = (bright >= 2).mean(), (dark >= 2).mean()
-tpr_th = 1 - np.exp(-3.5) * (1 + 3.5)
-fpr_th = 1 - np.exp(-0.5) * (1 + 0.5)
+# P(counts >= 2) = 1 - P(0) - P(1) under the window's count law, for k = 1 and k = 0
+tpr_th, fpr_th = 1 - np.exp(at.burst_count_logpmf([[0], [1]], [1, 0], model)).sum(axis=0)
 print(f"\nthreshold counts >= 2 over {n} windows per state:")
 print(f"  TPR = {tpr:.4f}  (Poisson tail {tpr_th:.4f})")
 print(f"  FPR = {fpr:.4f}  (Poisson tail {fpr_th:.4f})")

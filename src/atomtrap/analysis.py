@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .signals import BurstModel, DetectorModel, PhotonTrace
+from .signals import (BurstModel, DetectorModel, PhotonTrace, burst_count_logpmf,
+                      nonnegative_integers)
 
 __all__ = [
     "Segmentation",
@@ -216,25 +218,17 @@ class BurstClassification:
 def classify_burst(window_counts: int, n_atoms: int, model: BurstModel) -> BurstClassification:
     """Posterior over the number of bright (F=4) atoms in a detection window.
 
-    Exact Poisson likelihood with mean background + k * photons_per_atom
-    for k bright atoms, under a uniform prior. Raises ValueError for counts
-    that no hypothesis can give, when every mean is 0.
+    burst_count_logpmf of the counts for k = 0..n_atoms bright atoms,
+    normalised under a uniform prior. Raises TypeError when an argument is
+    not an integer, ValueError when one is negative and for counts that no
+    hypothesis can give, when every mean is 0.
     """
-    if n_atoms < 0:
-        raise ValueError("n_atoms must be non-negative")
-    if window_counts < 0:
-        raise ValueError("window_counts must be non-negative")
-    k = np.arange(n_atoms + 1)
-    mean = model.background_photons_per_window + k * model.mean_photons_per_atom
-    if window_counts > 0 and not np.any(mean > 0):
+    n_atoms = operator.index(nonnegative_integers(n_atoms, "n_atoms"))
+    window_counts = operator.index(nonnegative_integers(window_counts, "window_counts"))
+    loglik = burst_count_logpmf(window_counts, np.arange(n_atoms + 1), model)
+    if loglik.max() == -np.inf:
         raise ValueError(f"{window_counts} counts are impossible when every hypothesis "
                          "has a mean of 0 photons")
-    with np.errstate(divide="ignore"):
-        loglik = np.where(
-            mean > 0,
-            window_counts * np.log(np.maximum(mean, 1e-300)) - mean - math.lgamma(window_counts + 1),
-            0.0 if window_counts == 0 else -np.inf,
-        )
     post = np.exp(loglik - loglik.max())
     post /= post.sum()
     return BurstClassification(n_atoms=n_atoms, posterior=post, map_k=int(np.argmax(post)))

@@ -164,20 +164,24 @@ _D2_WEIGHT = 2.0 / 3.0
 _D1_WEIGHT = 1.0 / 3.0
 
 
+def _two_lines(beam: GaussianBeam, atom: AtomParams):
+    """Peak intensity, and (omega_res, weight, co- plus counter-rotating amplitude) per line."""
+    check_red_detuned(beam.wavelength, atom)
+    omega = 2 * np.pi * c / beam.wavelength
+    return beam.peak_intensity, [
+        (omega_res, weight, 1 / (omega_res - omega) + 1 / (omega_res + omega))
+        for omega_res, weight in ((atom.omega_d2, _D2_WEIGHT), (atom.omega_d1, _D1_WEIGHT))]
+
+
 def trap_depth(beam: GaussianBeam, atom: AtomParams) -> float:
     """Ground-state light shift at the beam focus (positive depth, J).
 
     Two-line model: sum over the D1 and D2 transitions with weights 1/3
     and 2/3, keeping both the co- and counter-rotating denominators.
     """
-    check_red_detuned(beam.wavelength, atom)
-    omega = 2 * np.pi * c / beam.wavelength
-    i0 = beam.peak_intensity
-    depth = 0.0
-    for omega_res, weight in ((atom.omega_d2, _D2_WEIGHT), (atom.omega_d1, _D1_WEIGHT)):
-        amp = 1 / (omega_res - omega) + 1 / (omega_res + omega)
-        depth += weight * (3 * np.pi * c**2 / (2 * omega_res**3)) * atom.linewidth_gamma * amp * i0
-    return depth
+    i0, lines = _two_lines(beam, atom)
+    return sum(weight * (3 * np.pi * c**2 / (2 * omega_res**3)) * atom.linewidth_gamma * amp * i0
+               for omega_res, weight, amp in lines)
 
 
 def peak_scattering_rate(beam: GaussianBeam, atom: AtomParams) -> float:
@@ -186,19 +190,9 @@ def peak_scattering_rate(beam: GaussianBeam, atom: AtomParams) -> float:
     Same two-line model as trap_depth, with the squared amplitude of each
     line summed.
     """
-    check_red_detuned(beam.wavelength, atom)
-    omega = 2 * np.pi * c / beam.wavelength
-    i0 = beam.peak_intensity
-    rate = 0.0
-    for omega_res, weight in ((atom.omega_d2, _D2_WEIGHT), (atom.omega_d1, _D1_WEIGHT)):
-        amp = 1 / (omega_res - omega) + 1 / (omega_res + omega)
-        rate += (
-            weight
-            * (3 * np.pi * c**2 / (2 * hbar * omega_res**3))
-            * (atom.linewidth_gamma * amp) ** 2
-            * i0
-        )
-    return rate
+    i0, lines = _two_lines(beam, atom)
+    return sum(weight * (3 * np.pi * c**2 / (2 * hbar * omega_res**3))
+               * (atom.linewidth_gamma * amp) ** 2 * i0 for omega_res, weight, amp in lines)
 
 
 def fluorescence_budget(atom: AtomParams, overall_efficiency: float) -> FluorescenceBudget:

@@ -534,24 +534,29 @@ def dataset_to_json(ds: Dataset) -> str:
     return json.dumps(rec, sort_keys=True, indent=2) + "\n"
 
 
+# export format -> writer of the dataset file named after it
+_WRITERS = {"csv": _points_csv, "json": dataset_to_json}
+
+
 def export_dataset(ds: Dataset, out_dir: str, formats=("csv", "json")) -> list[str]:
     """Write the dataset; returns the list of file paths written.
 
     Files are named after the experiment kind and written to out_dir.
-    Writes are atomic (temp file + rename).
+    Writes are atomic (temp file + rename). formats is a sequence of "csv"
+    and "json"; a bare string raises TypeError and an unknown format
+    ValueError, both before any file is written.
     """
+    if isinstance(formats, str):
+        raise TypeError(f"formats must be a sequence of format names, not the string {formats!r}")
+    formats = list(formats)
+    for fmt in formats:
+        if fmt not in _WRITERS:
+            raise ValueError(f"unknown export format {fmt!r}")
     written = []
     for fmt in formats:
-        if fmt == "csv":
-            path = os.path.join(out_dir, f"{ds.kind}.csv")
-            _atomic_write(path, _points_csv(ds))
-            written.append(path)
-        elif fmt == "json":
-            path = os.path.join(out_dir, f"{ds.kind}.json")
-            _atomic_write(path, dataset_to_json(ds))
-            written.append(path)
-        else:
-            raise ValueError(f"unknown export format {fmt!r}")
+        path = os.path.join(out_dir, f"{ds.kind}.{fmt}")
+        _atomic_write(path, _WRITERS[fmt](ds))
+        written.append(path)
     for name, trace in ds.traces:
         path = os.path.join(out_dir, f"{ds.kind}_{name}.csv")
         _atomic_write(path, trace.to_csv())

@@ -26,6 +26,7 @@ __all__ = [
     "synthesize_counts",
     "synthesize_mot_trace",
     "synthesize_detection_burst",
+    "burst_count_logpmf",
 ]
 
 
@@ -62,7 +63,7 @@ class BurstModel:
     Each F=4 atom emits an expected mean_photons_per_atom photons in a
     burst whose envelope decays exponentially with scale
     burst_duration_mean (the atom is optically pumped into the dark state
-    on that time scale).
+    on that time scale). burst_count_logpmf states the law of a window's count.
     """
 
     mean_photons_per_atom: float = 3.0
@@ -215,9 +216,18 @@ class PhotonTrace:
             raise ValueError("counts must be non-negative")
         if not -np.inf < self.t0 < np.inf:
             raise ValueError("t0 must be finite")
-        if not -np.inf < self.t0 + self.bin_width * (len(self.counts) - 1) < np.inf:
+        last = self.t0 + self.bin_width * (len(self.counts) - 1)
+        if not -np.inf < last < np.inf:
             raise ValueError("the last bin start, t0 + bin_width * (len(counts) - 1), "
                              "must be finite")
+        # a start is off by a few float spacings at the largest |start|, and so
+        # is a spacing of the exact starts that to_csv writes at most; 16 of
+        # them stay far inside the tolerance that from_csv applies
+        limit = 16 / BIN_SPACING_TOLERANCE * math.ulp(max(abs(self.t0), abs(last)))
+        if not self.bin_width >= limit:
+            raise ValueError(f"bin_width must be at least {limit:.3g} s, "
+                             f"{16 / BIN_SPACING_TOLERANCE:g} float spacings at the largest "
+                             "|bin start|, for the CSV to keep the bin spacing")
 
     @property
     def bin_starts(self) -> np.ndarray:
@@ -325,11 +335,41 @@ def synthesize_detection_burst(
     Each F=4 atom contributes a Poisson number of photons (mean
     mean_photons_per_atom) with arrival times drawn from an exponential
     envelope of scale burst_duration_mean, truncated to the window; F=3
-    atoms stay dark. The background is Poisson and uniform in time.
+    atoms stay dark. The background is Poisson and uniform in time. The
+    window's total count follows burst_count_logpmf.
     """
     if n_f4 < 0:
         raise ValueError("n_f4 must be non-negative")
     return _burst_draw(n_f4, model, _burst_law(model, window), rng)
+
+
+_log_factorial = np.vectorize(lambda n: math.lgamma(n + 1), otypes=[float])
+
+
+def burst_count_logpmf(counts, k, model: BurstModel) -> np.ndarray:
+    """Log-probability of counts photons in one detection window holding k bright atoms.
+
+    The count is Poisson with mean background_photons_per_window
+    + k * mean_photons_per_atom. counts and k broadcast; a mean of 0 gives
+    -inf for counts > 0. Raises TypeError when counts or k are not integers
+    and ValueError when one is negative.
+    """
+    counts, k = nonnegative_integers(counts, "counts"), nonnegative_integers(k, "k")
+    mean = model.background_photons_per_window + k * model.mean_photons_per_atom
+    loglik = counts * np.log(np.maximum(mean, 1e-300)) - mean - _log_factorial(counts)
+    return np.where(mean > 0, loglik, np.where(counts > 0, -np.inf, 0.0))
+
+
+def nonnegative_integers(value, name: str) -> np.ndarray:
+    """value as an integer array; raises TypeError, naming it, when its entries
+    are not integers (a float is rejected, not truncated), ValueError when one
+    is negative."""
+    value = np.asarray(value)
+    if value.dtype.kind not in "iu":
+        raise TypeError(f"{name} must be of an integer type, not {value.dtype}")
+    if (value < 0).any():
+        raise ValueError(f"{name} must be non-negative")
+    return value
 
 
 def _burst_law(model: BurstModel, window: float) -> tuple[float, float, int]:

@@ -1,8 +1,10 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
+import burst_reference
 from binseg_reference import binary_segmentation
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -248,6 +250,46 @@ class TestClassifyBurst:
                 assert cl.map_k == int(np.argmax(ref))
                 shown = ref > 1e-300
                 np.testing.assert_allclose(cl.posterior[shown], ref[shown], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("model", [
+        BurstModel(),
+        BurstModel(mean_photons_per_atom=0.7, background_photons_per_window=2.0),
+        BurstModel(mean_photons_per_atom=0.0),
+        BurstModel(background_photons_per_window=0.0),
+        BurstModel(mean_photons_per_atom=0.0, background_photons_per_window=0.0),
+    ], ids=["default", "mu0.7-B2", "mu0", "B0", "mu0-B0"])
+    def test_matches_the_reference_classifier_bit_for_bit(self, model):
+        # the classifier reads the law from signals.burst_count_logpmf; its
+        # posteriors, MAP and errors are those of the classifier that wrote
+        # the law itself
+        for counts in range(81):
+            for n_atoms in range(9):
+                try:
+                    ref = burst_reference.classify_burst(counts, n_atoms, model)
+                except ValueError as exc:
+                    with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                        classify_burst(counts, n_atoms, model)
+                    continue
+                cl = classify_burst(counts, n_atoms, model)
+                assert np.array_equal(cl.posterior, ref.posterior), (counts, n_atoms)
+                assert cl.map_k == ref.map_k and cl.n_atoms == ref.n_atoms
+
+    @pytest.mark.parametrize("counts, n_atoms, error, message", [
+        (float("nan"), 1, TypeError, "window_counts must be of an integer type, not float64"),
+        (2.5, 2, TypeError, "window_counts must be of an integer type, not float64"),
+        (3, 2.5, TypeError, "n_atoms must be of an integer type, not float64"),
+        (3, np.float64(2.0), TypeError, "n_atoms must be of an integer type, not float64"),
+        (-1, 1, ValueError, "window_counts must be non-negative"),
+        (1, -1, ValueError, "n_atoms must be non-negative"),
+    ])
+    def test_non_integer_or_negative_arguments_raise(self, counts, n_atoms, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            classify_burst(counts, n_atoms, BurstModel())
+
+    def test_numpy_integers_accepted(self):
+        cl = classify_burst(np.int64(3), np.uint8(2), BurstModel())
+        assert cl.n_atoms == 2 and type(cl.n_atoms) is int
+        assert np.array_equal(cl.posterior, classify_burst(3, 2, BurstModel()).posterior)
 
 
 def grad_norm_check(fit, points, p_model):

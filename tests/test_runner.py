@@ -349,6 +349,16 @@ class TestExport:
         rec = json.loads(raw)
         assert list(rec) == sorted(rec)
 
+    @pytest.mark.parametrize("formats, error, message", [
+        (("csv", "xml"), ValueError, "unknown export format 'xml'"),
+        ("json", TypeError, "formats must be a sequence of format names, not the string 'json'"),
+    ])
+    def test_bad_formats_raise_before_any_write(self, tmp_path, formats, error, message):
+        ds = run_experiment(small("detection_demo"))
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            export_dataset(ds, str(tmp_path / "out"), formats=formats)
+        assert not (tmp_path / "out").exists()
+
     def test_no_partial_files(self, tmp_path):
         # the export directory never contains temp leftovers after a write
         ds = run_experiment(small("lifetime", repetitions=2))

@@ -4,8 +4,9 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from atomtrap import (
     BurstModel,
@@ -21,9 +22,11 @@ from atomtrap import cli, signals
 from atomtrap.signals import (
     BIN_SPACING_TOLERANCE,
     bin_expected_counts,
+    burst_count_logpmf,
     read_csv_table,
 )
 import csv_reference
+from two_sample import chi2_two_sample
 
 DBL_MAX = sys.float_info.max
 
@@ -188,6 +191,47 @@ class TestDetectionBurst:
             synthesize_detection_burst(2, BurstModel(), run_stream(0, 0), window=window)
 
 
+class TestBurstCountLogpmf:
+    @pytest.mark.parametrize("model", [
+        BurstModel(), BurstModel(mean_photons_per_atom=0.7, background_photons_per_window=2.0),
+    ])
+    def test_poisson_with_mean_background_plus_k_photons_per_atom(self, model):
+        counts, k = np.arange(40)[:, None], np.arange(6)
+        mean = model.background_photons_per_window + k * model.mean_photons_per_atom
+        logpmf = burst_count_logpmf(counts, k, model)
+        assert logpmf.shape == (40, 6)
+        np.testing.assert_allclose(logpmf, stats.poisson.logpmf(counts, mean), rtol=1e-12)
+
+    def test_a_mean_of_zero_gives_only_zero_counts(self):
+        model = BurstModel(mean_photons_per_atom=3.0, background_photons_per_window=0.0)
+        assert burst_count_logpmf(0, 0, model) == 0.0
+        assert burst_count_logpmf([1, 7], 0, model).tolist() == [-np.inf, -np.inf]
+        assert np.isfinite(burst_count_logpmf([1, 7], 1, model)).all()
+
+    @pytest.mark.parametrize("counts, k, error, message", [
+        (2.5, 1, TypeError, "counts must be of an integer type, not float64"),
+        ([1, 2], [0.0, 1.0], TypeError, "k must be of an integer type, not float64"),
+        (True, 1, TypeError, "counts must be of an integer type, not bool"),
+        ([3, -1], 1, ValueError, "counts must be non-negative"),
+        (3, [0, -2], ValueError, "k must be non-negative"),
+    ])
+    def test_non_integer_or_negative_arguments_raise(self, counts, k, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            burst_count_logpmf(counts, k, BurstModel())
+
+    @pytest.mark.parametrize("n_f4", [0, 1, 3])
+    def test_burst_window_sums_follow_the_pmf(self, n_f4):
+        # the generator draws the law, the classifier reads the pmf: a two-sample
+        # test ties the two, so neither can change alone
+        model, n = BurstModel(), 4000
+        rng = run_stream(25, n_f4)
+        sums = [int(synthesize_detection_burst(n_f4, model, rng).counts.sum()) for _ in range(n)]
+        support = np.arange(80)
+        pmf = np.exp(burst_count_logpmf(support, n_f4, model))
+        drawn = run_stream(26, n_f4).choice(support, size=n, p=pmf / pmf.sum())
+        assert chi2_two_sample(sums, drawn.tolist()) > 1e-3
+
+
 class TestPhotonTraceCsv:
     def test_header_and_format(self):
         tr = PhotonTrace(t0=0.0, bin_width=0.1, counts=[5, 7, 3])
@@ -292,7 +336,7 @@ class TestPhotonTraceCsv:
                         assert tr.to_csv() == csv_reference.to_csv(tr), (t0, width, n)
 
     @pytest.mark.parametrize("t0, width", [
-        (-DBL_MAX, DBL_MAX), (DBL_MAX, 1.0), (0.9999999999 * DBL_MAX, 1.0),
+        (-DBL_MAX, DBL_MAX), (0.9999999999 * DBL_MAX, 1e297),
     ])
     def test_starts_near_dbl_max_write_without_warning(self, t0, width):
         # the digit bound must not overflow at DBL_MAX, and the digit search
@@ -305,6 +349,33 @@ class TestPhotonTraceCsv:
         assert np.isfinite(starts).all()
         if width == DBL_MAX:
             assert text == csv_reference.to_csv(tr)
+
+    @pytest.mark.parametrize("t0, width, n_bins", [
+        (DBL_MAX, 1.0, 2), (0.9999999999 * DBL_MAX, 1.0, 2), (1e17, 1.0, 3), (1e16, 3.0, 50),
+        (-1e16, 3.0, 50),
+    ])
+    def test_bin_width_below_the_float_resolution_rejected(self, t0, width, n_bins):
+        # the starts would collapse or their spacings alternate (1e16 + 3 i
+        # steps by 2 s and 4 s), so the CSV could not be read back
+        with pytest.raises(ValueError, match="^bin_width must be at least "):
+            PhotonTrace(t0=t0, bin_width=width, counts=[1] * n_bins)
+
+    @given(t0=st.floats(allow_nan=False, allow_infinity=False),
+           width=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+           counts=st.lists(st.integers(0, 10**6), min_size=2, max_size=50))
+    @settings(max_examples=200, deadline=None)
+    def test_every_accepted_trace_round_trips(self, t0, width, counts):
+        # a width within about 1 % above the bound can read back just below it
+        # and be rejected; widths drawn over the whole float range all but
+        # never land in that band
+        try:
+            tr = PhotonTrace(t0=t0, bin_width=width, counts=counts)
+        except ValueError:
+            assume(False)
+        back = PhotonTrace.from_csv(tr.to_csv())
+        assert np.array_equal(back.counts, tr.counts)
+        assert back.t0 == pytest.approx(t0, rel=1e-8, abs=BIN_SPACING_TOLERANCE * width)
+        assert back.bin_width == pytest.approx(width, rel=BIN_SPACING_TOLERANCE)
 
     def test_invalid_counts(self):
         with pytest.raises(ValueError):

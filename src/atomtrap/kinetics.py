@@ -1,13 +1,16 @@
 """Exact stochastic simulation of atom-number and hyperfine-state dynamics.
 
 All simulators take an explicit numpy Generator and are deterministic given
-that stream; independent runs should each receive their own stream (see
-atomtrap.streams).
+that stream (see atomtrap.streams).
 
 Each closed-form endpoint law is written once, as a checked helper
 _<law>_law that computes its parameters and a _<law>_draw that only draws
-from them; the public sampler is the one followed by the other, and
-sequence.bind_plan calls the helper once per phase and the draw once per run.
+from them. A draw takes the atom numbers of any number of runs as an int
+array and draws once for all of them; when no run holds an atom it draws
+nothing and returns the atoms as they are. sequence.bind_plan calls each
+helper once per phase and each draw once per arm. There are no public
+per-run samplers: gillespie_mot is the one path simulator, for two-body
+loss and traced runs, where no closed form exists.
 """
 
 from __future__ import annotations
@@ -21,11 +24,7 @@ __all__ = [
     "HyperfineRates",
     "StateTrajectory",
     "gillespie_mot",
-    "dipole_survival",
-    "magnetic_trap_survival",
     "analytic_occupation",
-    "mot_endpoint",
-    "hyperfine_endpoint",
 ]
 
 
@@ -164,35 +163,15 @@ def _survival_law(lifetime: float, t_hold: float) -> float | None:
     return None if t_hold == 0 else np.exp(-t_hold / lifetime)
 
 
-def _survival_draw(n0: int, law: float | None, rng: np.random.Generator) -> int:
-    return int(rng.binomial(n0, law)) if law is not None and n0 else int(n0)
+def _survival_draw(n: np.ndarray, law: float | None, rng: np.random.Generator) -> np.ndarray:
+    """Each of the atoms n survives with probability law, independently."""
+    return rng.binomial(n, law) if law is not None and n.any() else n
 
 
-def _magnetic_draw(n0: int, law: float | None, rng: np.random.Generator) -> int:
-    projected = int(rng.binomial(n0, 0.5)) if n0 else 0
-    return _survival_draw(projected, law, rng)
-
-
-def dipole_survival(n0: int, lifetime: float, t_hold: float, rng: np.random.Generator) -> int:
-    """Number of atoms remaining after holding n0 atoms in the dipole trap.
-
-    Each atom survives independently with probability exp(-t_hold/lifetime).
-    """
-    law = _survival_law(lifetime, t_hold)
-    if n0 < 0:
-        raise ValueError("n0 must be non-negative")
-    return _survival_draw(n0, law, rng)
-
-
-def magnetic_trap_survival(n0: int, lifetime: float, t_hold: float, rng: np.random.Generator) -> int:
-    """Survival in the quadrupole magnetic trap.
-
-    Half the atoms are lost immediately (statistical spin projection onto
-    trappable states); the remainder decay as in dipole_survival.
-    """
-    if n0 < 0:
-        raise ValueError("n0 must be non-negative")
-    return _magnetic_draw(n0, _survival_law(lifetime, t_hold), rng)
+def _magnetic_draw(n: np.ndarray, law: float | None, rng: np.random.Generator) -> np.ndarray:
+    """The quadrupole trap: the spin projection keeps half the atoms at once,
+    then the rest survive as in a dipole hold."""
+    return _survival_draw(_survival_draw(n, 0.5, rng), law, rng)
 
 
 def _occupations(rates: HyperfineRates, t):
@@ -226,7 +205,7 @@ def analytic_occupation(f_initial: int, rates: HyperfineRates, t) -> float:
 
 def _mot_law(rates: MotRates, t: float) -> tuple[float | None, float]:
     """(survival probability of the atoms present, None when gamma = 0 and
-    every atom stays; mean number loaded) of mot_endpoint's law."""
+    every atom stays; mean number loaded) of _mot_draw's law."""
     if rates.two_body_pair_rate != 0.0:
         raise ValueError("the closed-form endpoint needs two_body_pair_rate = 0")
     if not t >= 0:
@@ -238,26 +217,14 @@ def _mot_law(rates: MotRates, t: float) -> tuple[float | None, float]:
     return 1.0 - lost, rates.loading_rate_r * lost / gamma
 
 
-def _mot_draw(n0: int, law: tuple[float | None, float], rng: np.random.Generator) -> int:
+def _mot_draw(n: np.ndarray, law: tuple[float | None, float],
+              rng: np.random.Generator) -> np.ndarray:
+    """gillespie_mot's final value with no two-body loss: N(t) ~ Bin(n, exp(-gamma t))
+    + Poisson(R (1 - exp(-gamma t)) / gamma), the atoms present surviving and
+    the atoms loaded since; n + Poisson(R t) at gamma = 0."""
     keep, mean_loaded = law
-    kept = _survival_draw(n0, keep, rng)
-    return kept + (int(rng.poisson(mean_loaded)) if mean_loaded > 0 else 0)
-
-
-def mot_endpoint(rates: MotRates, n0: int, t: float, rng: np.random.Generator) -> int:
-    """Exact MOT atom number after time t without simulating the path (beta = 0).
-
-    With no two-body loss the atoms present at t = 0 survive independently
-    with probability exp(-gamma t) and the atoms loaded since form an
-    independent Poisson number of mean R (1 - exp(-gamma t)) / gamma, so
-    N(t) ~ Bin(n0, exp(-gamma t)) + Poisson(R (1 - exp(-gamma t)) / gamma);
-    the gamma = 0 limit is n0 + Poisson(R t). This is the law of
-    gillespie_mot(rates, n0, t, rng).final_value().
-    """
-    law = _mot_law(rates, t)
-    if n0 < 0:
-        raise ValueError("n0 must be non-negative")
-    return _mot_draw(n0, law, rng)
+    kept = _survival_draw(n, keep, rng)
+    return kept + rng.poisson(np.full(n.shape, mean_loaded)) if mean_loaded > 0 else kept
 
 
 def _hyperfine_law(rates: HyperfineRates, t: float) -> tuple[float, float] | None:
@@ -268,24 +235,11 @@ def _hyperfine_law(rates: HyperfineRates, t: float) -> tuple[float, float] | Non
     return None if t == 0 else tuple(map(float, _occupations(rates, t)))
 
 
-def _hyperfine_draw(
-    n_f4: int, n_f3: int, law: tuple[float, float] | None, rng: np.random.Generator
-) -> int:
-    if law is None or n_f4 + n_f3 == 0:
-        return int(n_f4)
-    return int(rng.binomial(n_f4, law[0])) + int(rng.binomial(n_f3, law[1]))
-
-
-def hyperfine_endpoint(
-    n_f4: int, n_f3: int, rates: HyperfineRates, t: float, rng: np.random.Generator
-) -> int:
-    """Number of atoms in F=4 after time t, from n_f4 atoms in F=4 and n_f3 in F=3.
-
-    Each atom flips between F=4 and F=3 at the rates r_4to3 and r_3to4,
-    independently of the others, so its final F is a Bernoulli draw with
-    the analytic_occupation of its initial state; the F=4 count is their
-    sum, drawn as two binomials, the F=4 atoms' first.
-    """
-    if n_f4 < 0 or n_f3 < 0:
-        raise ValueError("atom counts must be non-negative")
-    return _hyperfine_draw(n_f4, n_f3, _hyperfine_law(rates, t), rng)
+def _hyperfine_draw(n_f4: np.ndarray, n_f3: np.ndarray, law: tuple[float, float] | None,
+                    rng: np.random.Generator) -> np.ndarray:
+    """Atoms in F=4 after the law's time, from n_f4 atoms in F=4 and n_f3 in F=3:
+    each atom's final F is a Bernoulli draw with the analytic_occupation of
+    its initial state, drawn as two binomials, the F=4 atoms' first."""
+    if law is None or not (n_f4 + n_f3).any():
+        return n_f4
+    return rng.binomial(n_f4, law[0]) + rng.binomial(n_f3, law[1])

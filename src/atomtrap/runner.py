@@ -2,9 +2,9 @@
 
 Configs are INI files with one section per module and unit-suffixed keys;
 unknown keys are hard errors and missing keys take the documented
-defaults. Every run of an experiment draws from its own counter-based
-random stream, so results are a pure function of (config, master_seed)
-and independent of execution order.
+defaults. Every arm of an experiment (one schedule point, say) draws all
+of its runs from its own counter-based random stream, so results are a
+pure function of (config, master_seed) and independent of execution order.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from .analysis import (
     fit_relaxation,
     fit_relaxation_joint,
 )
-from .kinetics import HyperfineRates, MotRates, _magnetic_draw, _survival_law, gillespie_mot
-from .sequence import (PROTOCOL_DEFAULTS, PhysicsBundle, bind_plan, build_protocol, chain,
-                       compile_sequence)
+from .kinetics import HyperfineRates, MotRates, gillespie_mot
+from .sequence import (PROTOCOL_DEFAULTS, Phase, PhysicsBundle, SequencePlan, bind_plan,
+                       build_protocol, chain, compile_sequence)
 from .signals import BurstModel, DetectorModel, PhotonTrace, synthesize_mot_trace
 
 __all__ = [
@@ -320,64 +320,54 @@ def _dataset(cfg: ExperimentConfig, points, counters, fits=None, traces=None) ->
     )
 
 
-def _repeat(cfg: ExperimentConfig, arms) -> tuple[list[list], dict[str, list[int]]]:
-    """Run every arm cfg.repetitions times, each run on its own stream.
+def _repeat(cfg: ExperimentConfig, arms) -> tuple[list, dict[str, list[int]]]:
+    """Run every arm once, on its own stream.
 
-    The one place where the runner draws a random stream, for every kind.
+    The one place where the runner makes a random stream, for every kind.
     arms: (run_counters key, run) pairs in schedule order, where run(rng)
-    returns the outcome of one run and keeps no reference to rng, which the
-    next run rewinds. Run counters are consecutive across the arms. Returns
-    each arm's list of outcomes, in run order, and the counters.
+    draws the arm's cfg.repetitions runs from rng and returns their
+    outcome. Each arm owns the next cfg.repetitions run counters, so the
+    counters are consecutive across the arms, and its stream is
+    run_stream(master_seed, the first of them). Returns each arm's outcome
+    and the counters.
     """
     outcomes = []
     counters: dict[str, list[int]] = {}
     counter = 0
-    run_streams = streams.RunStreams(cfg.master_seed)
     for key, run in arms:
-        used = range(counter, counter + cfg.repetitions)
+        counters[key] = list(range(counter, counter + cfg.repetitions))
+        outcomes.append(run(streams.run_stream(cfg.master_seed, counter)))
         counter += cfg.repetitions
-        outcomes.append([run(run_streams.at(i)) for i in used])
-        counters[key] = list(used)
     return outcomes, counters
 
 
 def _survival_experiment(cfg: ExperimentConfig) -> Dataset:
     """Survival against hold time: magnetic-trap holds, or transfer -> hold -> recapture.
 
-    A magnetic run applies the spin projection then exponential decay to the
-    atoms per run, which no dipole-trap transfer loads, and counts against
-    them; a dipole run counts recaptured against prepared atoms. lifetime
-    and magnetic_lifetime fit the decay. Each arm's law is computed once.
+    A magnetic arm holds the atoms per run, which no dipole-trap transfer
+    loads, and counts the survivors against them; a dipole arm counts
+    recaptured against prepared atoms. lifetime and magnetic_lifetime fit
+    the decay.
     """
-    n0 = cfg.atoms_per_run
-    if cfg.kind == "magnetic_lifetime":
-        tau = cfg.trap["magnetic_lifetime_s"]
+    bundle = cfg.physics_bundle()
+    overlap = cfg.sequence["overlap_s"]
 
-        def runs_at(t_hold):
-            survival = _survival_law(tau, t_hold)
+    def arm(t_hold):
+        if cfg.kind == "magnetic_lifetime":
+            plan = SequencePlan((Phase("magnetic_hold", t_hold, prepared_state="mixed"),))
+        else:
+            plan = compile_sequence(chain(build_protocol("transfer", overlap_s=overlap), t_hold,
+                                          build_protocol("recapture", overlap_s=overlap)))
+        bound = bind_plan(plan, bundle)
 
-            def run(rng):
-                return _magnetic_draw(n0, survival, rng), n0
-            return run
-    else:
-        bundle = cfg.physics_bundle()
-        overlap = cfg.sequence["overlap_s"]
-
-        def runs_at(t_hold):
-            bound = bind_plan(compile_sequence(chain(
-                build_protocol("transfer", overlap_s=overlap),
-                t_hold,
-                build_protocol("recapture", overlap_s=overlap),
-            )), bundle)
-
-            def run(rng):
-                rec = bound(n0, rng)
-                return rec.recaptured_n, rec.prepared_n
-            return run
-    outcomes, counters = _repeat(cfg, [(f"t={t!r}", runs_at(t)) for t in cfg.schedule])
+        def run(rng):
+            rec = bound(cfg.atoms_per_run, rng, cfg.repetitions)
+            survived = rec.survivors if cfg.kind == "magnetic_lifetime" else rec.recaptured_n
+            return int(survived.sum()), int(rec.prepared_n.sum())
+        return run
+    outcomes, counters = _repeat(cfg, [(f"t={t!r}", arm(t)) for t in cfg.schedule])
     points = []
-    for t_hold, runs in zip(cfg.schedule, outcomes):
-        survived, total = map(sum, zip(*runs))
+    for t_hold, (survived, total) in zip(cfg.schedule, outcomes):
         points.append({"t_hold_s": t_hold, "survived": survived, "total": total,
                        "fraction": survived / total if total else 0.0})
     fits = {}
@@ -389,8 +379,8 @@ def _survival_experiment(cfg: ExperimentConfig) -> Dataset:
 
 
 def _detect_arm(cfg: ExperimentConfig, bundle: PhysicsBundle, f_init: int, t_hold: float):
-    """One prepare F=f_init -> hold t_hold -> detect run: (atoms in the trap
-    when the detection starts, the detection burst)."""
+    """The prepare F=f_init -> hold t_hold -> detect runs: (atoms in the trap when
+    the detection starts, per run; photon counts per detection bin, (runs, bins))."""
     seqp = cfg.sequence
     bound = bind_plan(compile_sequence(chain(
         build_protocol(f"prepare_f{f_init}", overlap_s=seqp["overlap_s"], delay_s=seqp["delay_s"]),
@@ -399,8 +389,8 @@ def _detect_arm(cfg: ExperimentConfig, bundle: PhysicsBundle, f_init: int, t_hol
     )), bundle)
 
     def run(rng):
-        rec = bound(cfg.atoms_per_run, rng)
-        return rec.final_n, next(tr for name, tr in rec.traces if name == "detect")
+        rec = bound(cfg.atoms_per_run, rng, cfg.repetitions)
+        return rec.final_n, dict(rec.traces)["detect"]
     return run
 
 
@@ -412,9 +402,8 @@ def _relaxation_experiment(cfg: ExperimentConfig) -> Dataset:
         cfg, [(f"t={t!r},f={f}", _detect_arm(cfg, bundle, f, t)) for t, f in grid])
     points = []
     bg = burst.background_photons_per_window * cfg.repetitions
-    for (t_hold, f_init), runs in zip(grid, outcomes):
-        total_atoms = sum(n for n, _ in runs)
-        total_counts = sum(int(tr.counts.sum()) for _, tr in runs)
+    for (t_hold, f_init), (n_atoms, counts) in zip(grid, outcomes):
+        total_atoms, total_counts = int(n_atoms.sum()), int(counts.sum())
         if total_atoms and burst.mean_photons_per_atom > 0:
             p4_hat = (total_counts - bg) / (burst.mean_photons_per_atom * total_atoms)
             p4_hat = min(max(p4_hat, 0.0), 1.0)
@@ -445,7 +434,7 @@ def _mot_monitor_experiment(cfg: ExperimentConfig) -> Dataset:
         traj = gillespie_mot(cfg.mot_rates(), cfg.atoms_per_run, cfg.schedule[0], rng)
         return traj, synthesize_mot_trace(traj, det, rng)
 
-    [[(traj, trace)]], counters = _repeat(cfg, [("runs", run)])
+    [(traj, trace)], counters = _repeat(cfg, [("runs", run)])
     points = [
         {"time_s": float(t), "n_atoms": int(v)} for t, v in zip(traj.times, traj.values)
     ]
@@ -460,9 +449,10 @@ def _detection_demo_experiment(cfg: ExperimentConfig) -> Dataset:
         cfg, [(f"f={f}", _detect_arm(cfg, bundle, f, cfg.schedule[0])) for f in (3, 4)])
     points = []
     traces = []
-    for f_init, [(n_atoms, burst_trace)] in zip((3, 4), outcomes):
-        window_counts = int(burst_trace.counts.sum())
-        traces.append((f"detect_f{f_init}", burst_trace))
+    for f_init, ([n_atoms], [counts]) in zip((3, 4), outcomes):
+        n_atoms, window_counts = int(n_atoms), int(counts.sum())
+        traces.append((f"detect_f{f_init}",
+                       PhotonTrace(t0=0.0, bin_width=bundle.burst.detection_bin, counts=counts)))
         points.append({
             "f_initial": f_init,
             "n_atoms": n_atoms,

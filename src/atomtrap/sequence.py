@@ -6,8 +6,9 @@ preparation, state-selective detection) are produced by build_protocol
 and can be composed with chain(); compile_sequence validates a timeline
 once and reduces it to a plan of phases; bind_plan binds a plan to the
 physics once, computing each phase's law from the kinetics and signal
-modules, and the bound run only draws. Running a plan only simulates:
-recovering anything from its traces is the caller's job.
+modules, and the bound run(initial_n, rng, runs) only draws, all runs in
+one walk over the phases. Running a plan only simulates: recovering
+anything from its traces is the caller's job.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import enum
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,8 +40,9 @@ from .signals import (
     PhotonTrace,
     _burst_draw,
     _burst_law,
+    bin_expected_counts,
+    nonnegative_integers,
     read_csv_table,
-    synthesize_counts,
     synthesize_mot_trace,
 )
 
@@ -243,14 +245,19 @@ class PhysicsBundle:
 
 @dataclass
 class RunRecord:
-    """Outcome of one simulated sequence execution."""
+    """Outcome of the runs of a bound plan: each atom number an int array over
+    the runs, None where the plan books none, and per detect or traced phase
+    (category, a PhotonTrace per run), where an untraced detect phase gives
+    its photon counts per bin as an int array of shape (runs, bins) instead.
+    simulate_sequence's record holds its one run: ints and PhotonTraces.
+    """
 
-    prepared_n: int | None
+    prepared_n: np.ndarray | int | None
     prepared_state: str | None  # '3', '4', or 'mixed'
-    traces: list[tuple[str, PhotonTrace]]
-    survivors: int | None
-    recaptured_n: int | None
-    final_n: int
+    traces: list[tuple[str, list[PhotonTrace] | np.ndarray | PhotonTrace]]
+    survivors: np.ndarray | int | None
+    recaptured_n: np.ndarray | int | None
+    final_n: np.ndarray | int
 
 
 def _classify_interval(state: dict) -> str:
@@ -421,19 +428,21 @@ def compile_sequence(seq: Sequence) -> SequencePlan:
 
 
 def bind_plan(plan: SequencePlan, physics: PhysicsBundle, traces: bool = False):
-    """Bind a compiled sequence to the physics: run(initial_n, rng) -> RunRecord.
+    """Bind a compiled sequence to the physics: run(initial_n, rng, runs=1) -> RunRecord.
 
     Each phase's law parameters are computed and checked here, once, so a
-    run only draws. MOT and overlap phases advance the birth-death process:
-    from its exact endpoint law (mot_endpoint) when there is no two-body
-    loss and no trace is made, otherwise along a gillespie_mot path. Dipole
-    holds apply exponential survival and, where a later detection reads it,
-    the hyperfine endpoint law. Detect phases synthesize the fluorescence
-    burst, whose trace is always returned; it is not classified here. A
-    magnetic hold applies the 50% spin projection plus the same exponential
-    decay. With traces=True the MOT fluorescence of phases of at least one
-    detector bin and the stray light of such holds are synthesized as well.
-    run raises ValueError for a negative initial_n.
+    run only draws. A run walks the phases once, carrying the atom numbers
+    of all its runs as one int array, and each closed-form phase draws once
+    for all of them: MOT and overlap phases from the birth-death endpoint
+    law, dipole holds with exponential survival and, where a later
+    detection reads it, the hyperfine endpoint law, a magnetic hold with
+    the 50% spin projection and the same decay. Two phases draw run by run:
+    a MOT phase with two-body loss or a trace follows a gillespie_mot path,
+    and a detect phase draws each run's burst, which is always returned and
+    not classified here. With traces=True the MOT fluorescence of phases of
+    at least one detector bin and the stray light of such holds are
+    synthesized too, and every trace is a PhotonTrace. run raises TypeError
+    when initial_n is not of an integer type, ValueError when it is negative.
     """
     det = physics.detector
     mot = physics.mot_rates
@@ -448,7 +457,9 @@ def bind_plan(plan: SequencePlan, physics: PhysicsBundle, traces: bool = False):
             law = _mot_law(mot, dt) if exact else None
         elif cat == "hold":
             law = (_survival_law(physics.dipole_lifetime, dt),
-                   _hyperfine_law(physics.hyperfine, dt) if ph.tracks_f else None)
+                   _hyperfine_law(physics.hyperfine, dt) if ph.tracks_f else None,
+                   bin_expected_counts([0.0], [det.dipole_stray_rate], dt, det.bin_width)
+                   if traced else None)
         elif cat == "magnetic_hold":
             law = _survival_law(physics.magnetic_lifetime, dt)
         elif cat == "detect":
@@ -457,25 +468,23 @@ def bind_plan(plan: SequencePlan, physics: PhysicsBundle, traces: bool = False):
             law = None
         bound.append((ph, traced, law))
 
-    def run(initial_n: int, rng: np.random.Generator) -> RunRecord:
-        if initial_n < 0:
-            raise ValueError("initial_n must be non-negative")
-        n = int(initial_n)
-        n4: int | None = None  # atoms in F=4 while the hyperfine state is tracked
-        out: list[tuple[str, PhotonTrace]] = []
+    def run(initial_n: int, rng: np.random.Generator, runs: int = 1) -> RunRecord:
+        n = np.full(runs, nonnegative_integers(initial_n, "initial_n"), dtype=np.int64)
+        n4 = None  # atoms in F=4 while the hyperfine state is tracked
+        out = []
         prepared_n = prepared_state = survivors = recaptured_n = None
         for ph, traced, law in bound:
             cat = ph.category
             if ph.prepared_state is not None:
                 prepared_n, prepared_state = n, ph.prepared_state
             if ph.transfer:
-                if eta < 1.0 and n:
-                    n = int(rng.binomial(n, eta))
+                if eta < 1.0:
+                    n = _survival_draw(n, eta, rng)
                 if ph.tracks_f:
                     if prepared_state == "mixed":
-                        n4 = int(rng.binomial(n, MIXED_STATE_P4)) if n else 0
+                        n4 = _survival_draw(n, MIXED_STATE_P4, rng)
                     else:
-                        n4 = n if prepared_state == "4" else 0
+                        n4 = n if prepared_state == "4" else np.zeros_like(n)
             if ph.recapture:
                 recaptured_n = n
 
@@ -484,13 +493,13 @@ def bind_plan(plan: SequencePlan, physics: PhysicsBundle, traces: bool = False):
                 if law is not None:
                     n = _mot_draw(n, law, rng)
                 else:
-                    traj = gillespie_mot(mot, n, ph.dt, rng)
-                    n = traj.final_value()
+                    paths = [gillespie_mot(mot, k, ph.dt, rng) for k in n.tolist()]
+                    n = np.array([traj.final_value() for traj in paths], dtype=np.int64)
                     if traced:
-                        out.append((cat, synthesize_mot_trace(traj, det, rng,
-                                                              overlap=cat == "overlap")))
+                        out.append((cat, [synthesize_mot_trace(traj, det, rng, cat == "overlap")
+                                          for traj in paths]))
             elif cat == "hold":
-                survival, occupations = law
+                survival, occupations, stray = law
                 if ph.tracks_f and n4 is not None:
                     kept4 = _survival_draw(n4, survival, rng)
                     kept3 = _survival_draw(n - n4, survival, rng)
@@ -500,17 +509,18 @@ def bind_plan(plan: SequencePlan, physics: PhysicsBundle, traces: bool = False):
                     n, n4 = _survival_draw(n, survival, rng), None
                 survivors = n
                 if traced:
-                    out.append((cat, synthesize_counts(
-                        [0.0], [det.dipole_stray_rate], ph.dt, det.bin_width, rng)))
+                    counts = rng.poisson(np.tile(stray, (runs, 1)))
+                    out.append((cat, [PhotonTrace(0.0, det.bin_width, c) for c in counts]))
             elif cat == "magnetic_hold":
-                n = _magnetic_draw(n, law, rng)
-                n4 = None
+                n, n4 = _magnetic_draw(n, law, rng), None
                 survivors = n
             elif cat == "detect":
                 if n4 is None:
-                    n4 = int(rng.binomial(n, MIXED_STATE_P4)) if n else 0
-                out.append((cat, _burst_draw(n4, burst, law, rng)))
-                n4 = 0  # detection light pumps the atoms dark
+                    n4 = _survival_draw(n, MIXED_STATE_P4, rng)
+                counts = [_burst_draw(k, burst, law, rng) for k in n4.tolist()]
+                out.append((cat, [PhotonTrace(0.0, burst.detection_bin, c) for c in counts]
+                            if traces else np.array(counts)))
+                n4 = np.zeros_like(n)  # detection light pumps the atoms dark
 
         return RunRecord(prepared_n=prepared_n, prepared_state=prepared_state, traces=out,
                          survivors=survivors, recaptured_n=recaptured_n, final_n=n)
@@ -523,10 +533,14 @@ def simulate_sequence(
 ) -> RunRecord:
     """Validate, compile and run one timeline, synthesizing every trace.
 
-    Equivalent to bind_plan(compile_sequence(seq), physics, traces=True)(initial_n,
-    rng); compile and bind once to run a sequence many times.
+    The one run of bind_plan(compile_sequence(seq), physics, traces=True),
+    with its atom numbers as ints and one PhotonTrace per traced phase;
+    compile and bind once to run a sequence many times.
     """
-    return bind_plan(compile_sequence(seq), physics, traces=True)(initial_n, rng)
+    rec = bind_plan(compile_sequence(seq), physics, traces=True)(initial_n, rng)
+    atoms = {name: None if getattr(rec, name) is None else int(getattr(rec, name)[0])
+             for name in ("prepared_n", "survivors", "recaptured_n", "final_n")}
+    return replace(rec, traces=[(name, runs[0]) for name, runs in rec.traces], **atoms)
 
 
 def sequence_to_csv(seq: Sequence) -> str:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 import re
 import warnings
 from collections.abc import Callable
@@ -336,11 +337,12 @@ def synthesize_detection_burst(
     mean_photons_per_atom) with arrival times drawn from an exponential
     envelope of scale burst_duration_mean, truncated to the window; F=3
     atoms stay dark. The background is Poisson and uniform in time. The
-    window's total count follows burst_count_logpmf.
+    window's total count follows burst_count_logpmf. Raises TypeError when
+    n_f4 is not of an integer type and ValueError when it is negative.
     """
-    if n_f4 < 0:
-        raise ValueError("n_f4 must be non-negative")
-    return _burst_draw(n_f4, model, _burst_law(model, window), rng)
+    n_f4 = operator.index(nonnegative_integers(n_f4, "n_f4"))
+    counts = _burst_draw(n_f4, model, _burst_law(model, window), rng)
+    return PhotonTrace(t0=0.0, bin_width=model.detection_bin, counts=counts)
 
 
 _log_factorial = np.vectorize(lambda n: math.lgamma(n + 1), otypes=[float])
@@ -381,7 +383,8 @@ def _burst_law(model: BurstModel, window: float) -> tuple[float, float, int]:
 
 
 def _burst_draw(n_f4: int, model: BurstModel, law: tuple[float, float, int],
-                rng: np.random.Generator) -> PhotonTrace:
+                rng: np.random.Generator) -> np.ndarray:
+    """The photon counts per detection bin of one window holding n_f4 bright atoms."""
     window, cdf_end, n_bins = law
     arrivals = []
     n_photons = int(rng.poisson(model.mean_photons_per_atom * n_f4)) if n_f4 else 0
@@ -392,9 +395,7 @@ def _burst_draw(n_f4: int, model: BurstModel, law: tuple[float, float, int],
     n_bg = int(rng.poisson(model.background_photons_per_window))
     if n_bg:
         arrivals.append(rng.random(n_bg) * window)
-    counts = np.zeros(n_bins, dtype=np.int64)
-    if arrivals:
-        times = np.concatenate(arrivals)
-        idx = np.minimum((times / model.detection_bin).astype(int), n_bins - 1)
-        counts = np.bincount(idx, minlength=n_bins)
-    return PhotonTrace(t0=0.0, bin_width=model.detection_bin, counts=counts)
+    if not arrivals:
+        return np.zeros(n_bins, dtype=np.int64)
+    idx = (np.concatenate(arrivals) / model.detection_bin).astype(int)
+    return np.bincount(np.minimum(idx, n_bins - 1), minlength=n_bins)

@@ -32,12 +32,12 @@ DIGESTS = {
         "detection_demo_detect_f4.csv": "548a06747d7ec49c6eed95bf658f7d52a246867ee8aae33523556a9a30115a81",
     },
     "lifetime": {
-        "lifetime.csv": "244fe55585876fee60b7a932e3803d3066f975a6dc89b471ce135d9b47a18406",
-        "lifetime.json": "65d1922c0d9a6f5afe77d657e038b5f32db7120fcfde3763d265ebd7903f10f3",
+        "lifetime.csv": "91459b2fcb81ed3e1fcbb50eecd081539a0def8536d182843eea5585bc9cf77a",
+        "lifetime.json": "332c6dedfe8e26ab7ee931cfd6dfcad9bf6608e77f918dbb953c79d410ce9c7f",
     },
     "magnetic_lifetime": {
-        "magnetic_lifetime.csv": "2f6432e8d15a78fe57f2824a54627cb21d9dd7fa26b4e4bb767d08ae2f9a6bf9",
-        "magnetic_lifetime.json": "3c745555f5233f3a228671d10ce7106daa10768b1fd121524502e1d5194d4380",
+        "magnetic_lifetime.csv": "1c7c73576e37b498d4a189dffa9298ddcac4b7a79a77248e93a4dc3e810b2cac",
+        "magnetic_lifetime.json": "3691683f39cad4b2acd7e2a744a5d145df68e1adb257857cae5b60c5e7b0e18a",
     },
     "mot_monitor": {
         "mot_monitor.csv": "d6f42b0dbbf4d7afeec4f7e8c8ed6fdcc19a360be80dc2a11910fa158e5e0b3c",
@@ -45,8 +45,8 @@ DIGESTS = {
         "mot_monitor_mot_monitor.csv": "12175c3c9203aee2a0d6b62e251c7cf407f2950c16b91d41f952127ed6b4475f",
     },
     "relaxation": {
-        "relaxation.csv": "7bba225f665458f013caa35f5bf00dbcf9c21447ab99870ae9ffc3a2b7b6339b",
-        "relaxation.json": "ed1b82d36f7951b0b9fa3e0b8134ca34671a34f94cc916bc22321be78facf032",
+        "relaxation.csv": "a1f1fc257e464febf00c702861f58adb1d724d1c367e6a3bc066f54e3010c2b8",
+        "relaxation.json": "2c2c1d148e863106591db323b8380c02a751092b1e60e58755205875a99fc9c7",
     },
     "transfer_efficiency": {
         "transfer_efficiency.csv": "634f7caa4394e5c29037566c8de751281a07d878744356e48803aa7eb0cbe670",

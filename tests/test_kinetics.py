@@ -10,13 +10,18 @@ from atomtrap import (
     MotRates,
     StateTrajectory,
     analytic_occupation,
-    dipole_survival,
     gillespie_mot,
-    hyperfine_endpoint,
-    magnetic_trap_survival,
-    mot_endpoint,
     run_stream,
     synthesize_detection_burst,
+)
+from atomtrap.kinetics import (
+    _hyperfine_draw,
+    _hyperfine_law,
+    _magnetic_draw,
+    _mot_draw,
+    _mot_law,
+    _survival_draw,
+    _survival_law,
 )
 from telegraph_reference import hyperfine_telegraph
 from two_sample import chi2_two_sample
@@ -143,14 +148,22 @@ class TestGillespie:
             gillespie_mot(MotRates(), 0, t_max, BoundedStream(run_stream(1, 0)))
 
 
+def _atoms(n, runs=1):
+    return np.full(runs, n, dtype=np.int64)
+
+
 class TestSurvival:
+    # each draw takes the atoms of all runs at once
     def test_zero_hold(self):
-        assert dipole_survival(5, 51.0, 0.0, run_stream(0, 0)) == 5
+        rng = run_stream(0, 0)
+        assert _survival_law(51.0, 0.0) is None
+        assert _survival_draw(_atoms(5, 3), None, rng).tolist() == [5, 5, 5]
+        assert rng.random() == run_stream(0, 0).random()  # nothing was drawn
 
     def test_binomial_oracle(self):
         rng = run_stream(6, 0)
         tau, t, n0, runs = 51.0, 10.0, 4, 10000
-        survivors = np.array([dipole_survival(n0, tau, t, rng) for _ in range(runs)])
+        survivors = _survival_draw(_atoms(n0, runs), _survival_law(tau, t), rng)
         p = np.exp(-t / tau)
         mean, var = survivors.mean(), survivors.var(ddof=1)
         se = np.sqrt(n0 * p * (1 - p) / runs)
@@ -160,30 +173,32 @@ class TestSurvival:
 
     def test_short_hold_survival_band(self):
         rng = run_stream(7, 0)
-        survivors = sum(dipole_survival(1, 51.0, 1.0, rng) for _ in range(10000))
+        survivors = _survival_draw(_atoms(1, 10000), _survival_law(51.0, 1.0), rng).sum()
         assert survivors / 10000 == pytest.approx(np.exp(-1 / 51), abs=0.005)
 
     def test_magnetic_projection(self):
         rng = run_stream(8, 0)
-        kept = sum(magnetic_trap_survival(1, 51.0, 0.0, rng) for _ in range(10000))
+        kept = _magnetic_draw(_atoms(1, 10000), _survival_law(51.0, 0.0), rng).sum()
         assert kept / 10000 == pytest.approx(0.50, abs=0.015)
 
     def test_magnetic_zero_atoms(self):
-        assert magnetic_trap_survival(0, 51.0, 5.0, run_stream(0, 0)) == 0
+        rng = run_stream(0, 0)
+        assert _magnetic_draw(_atoms(0, 3), _survival_law(51.0, 5.0), rng).tolist() == [0, 0, 0]
+        assert rng.random() == run_stream(0, 0).random()  # nothing was drawn
 
     def test_magnetic_shape_matches_dipole(self):
         # survival(t)/survival(0+) follows the dipole exponential
         rng = run_stream(9, 0)
         t = 20.0
-        kept = sum(magnetic_trap_survival(1, 51.0, t, rng) for _ in range(20000))
+        kept = _magnetic_draw(_atoms(1, 20000), _survival_law(51.0, t), rng).sum()
         expected = 0.5 * np.exp(-t / 51.0)
         assert kept / 20000 == pytest.approx(expected, abs=0.01)
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            dipole_survival(1, 0.0, 1.0, run_stream(0, 0))
+            _survival_law(0.0, 1.0)
         with pytest.raises(ValueError):
-            dipole_survival(1, 51.0, -1.0, run_stream(0, 0))
+            _survival_law(51.0, -1.0)
 
 
 class TestTelegraph:
@@ -291,8 +306,8 @@ def _reference_occupation(f_initial, rates, t) -> float:
 
 
 class _BinomialSpy:
-    """Generator stand-in that records the probabilities of the scalar
-    binomial draws of one endpoint, as one tuple (F=4 first, then F=3)."""
+    """Generator stand-in that records the probabilities of the binomial
+    draws of one endpoint, each a scalar, as one tuple (F=4 first, then F=3)."""
 
     def __init__(self, rng):
         self.rng, self._drawn = rng, []
@@ -302,7 +317,7 @@ class _BinomialSpy:
         return [tuple(self._drawn)] if self._drawn else []
 
     def binomial(self, n, p):
-        assert np.ndim(n) == np.ndim(p) == 0
+        assert np.ndim(p) == 0
         self._drawn.append(float(p))
         return self.rng.binomial(n, p)
 
@@ -314,22 +329,23 @@ class TestHyperfineEndpoint:
         path = [hyperfine_telegraph(f0, REF_HF, t, run_stream(40, i)).final_value()
                 for i in range(ENDPOINT_SAMPLES)]
         n4, n3 = (1, 0) if f0 == 4 else (0, 1)
-        rng = run_stream(41, 0)
-        endpoint = [3 + hyperfine_endpoint(n4, n3, REF_HF, t, rng)
-                    for _ in range(ENDPOINT_SAMPLES)]
+        endpoint = 3 + _hyperfine_draw(_atoms(n4, ENDPOINT_SAMPLES), _atoms(n3, ENDPOINT_SAMPLES),
+                                       _hyperfine_law(REF_HF, t), run_stream(41, 0))
         assert chi2_two_sample(path, endpoint) > ENDPOINT_P_MIN
 
     def test_counts_are_sums_of_atoms(self):
         rng = run_stream(42, 0)
-        draws = np.array([hyperfine_endpoint(3, 2, REF_HF, 2.0, rng) for _ in range(4000)])
+        draws = _hyperfine_draw(_atoms(3, 4000), _atoms(2, 4000), _hyperfine_law(REF_HF, 2.0), rng)
         assert draws.min() >= 0 and draws.max() <= 5
         mean = 3 * analytic_occupation(4, REF_HF, 2.0) + 2 * analytic_occupation(3, REF_HF, 2.0)
         assert draws.mean() == pytest.approx(mean, abs=4 * draws.std() / np.sqrt(len(draws)))
 
     def test_zero_time_and_no_atoms_draw_nothing(self):
         rng = run_stream(43, 0)
-        assert hyperfine_endpoint(2, 3, REF_HF, 0.0, rng) == 2
-        assert hyperfine_endpoint(0, 0, REF_HF, 5.0, rng) == 0
+        assert _hyperfine_law(REF_HF, 0.0) is None
+        assert _hyperfine_draw(_atoms(2, 3), _atoms(3, 3), None, rng).tolist() == [2, 2, 2]
+        law = _hyperfine_law(REF_HF, 5.0)
+        assert _hyperfine_draw(_atoms(0, 3), _atoms(0, 3), law, rng).tolist() == [0, 0, 0]
         assert rng.random() == run_stream(43, 0).random()
 
     @pytest.mark.parametrize("rates", [REF_HF, HyperfineRates(0.3, 0.0), HyperfineRates(0.0, 0.2),
@@ -345,7 +361,8 @@ class TestHyperfineEndpoint:
             else:
                 p = (_reference_occupation(4, rates, t), _reference_occupation(3, rates, t))
                 expected = int(reference.binomial((n4, n3), p).sum())
-            assert hyperfine_endpoint(n4, n3, rates, t, spy) == expected
+            law = _hyperfine_law(rates, t)
+            assert _hyperfine_draw(_atoms(n4), _atoms(n3), law, spy).tolist() == [expected]
             # bit-identical probabilities, not merely equal draws
             assert spy.p == ([] if p is None else [p])
             assert spy.rng.random() == reference.random()
@@ -354,9 +371,9 @@ class TestHyperfineEndpoint:
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            hyperfine_endpoint(-1, 0, REF_HF, 1.0, run_stream(0, 0))
+            _hyperfine_draw(_atoms(-1), _atoms(0), _hyperfine_law(REF_HF, 1.0), run_stream(0, 0))
         with pytest.raises(ValueError):
-            hyperfine_endpoint(1, 0, REF_HF, -1.0, run_stream(0, 0))
+            _hyperfine_law(REF_HF, -1.0)
 
 
 class TestMotEndpoint:
@@ -370,34 +387,40 @@ class TestMotEndpoint:
     def test_matches_gillespie_final_value(self, rates, n0, t):
         path = [gillespie_mot(rates, n0, t, run_stream(44, i)).final_value()
                 for i in range(ENDPOINT_SAMPLES)]
-        rng = run_stream(45, 0)
-        endpoint = [mot_endpoint(rates, n0, t, rng) for _ in range(ENDPOINT_SAMPLES)]
+        endpoint = _mot_draw(_atoms(n0, ENDPOINT_SAMPLES), _mot_law(rates, t), run_stream(45, 0))
         assert chi2_two_sample(path, endpoint) > ENDPOINT_P_MIN
 
     def test_gamma_zero_limit_keeps_every_atom(self):
         rates = MotRates(loading_rate_r=0.0, one_body_loss=0.0)
-        assert mot_endpoint(rates, 4, 60.0, run_stream(46, 0)) == 4
+        rng = run_stream(46, 0)
+        assert _mot_draw(_atoms(4, 3), _mot_law(rates, 60.0), rng).tolist() == [4, 4, 4]
 
     def test_two_body_loss_rejected(self):
         with pytest.raises(ValueError, match="two_body_pair_rate"):
-            mot_endpoint(MotRates(two_body_pair_rate=0.01), 2, 1.0, run_stream(0, 0))
+            _mot_law(MotRates(two_body_pair_rate=0.01), 1.0)
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            mot_endpoint(MotRates(), -1, 1.0, run_stream(0, 0))
+            _mot_draw(_atoms(-1), _mot_law(MotRates(), 1.0), run_stream(0, 0))
         with pytest.raises(ValueError):
-            mot_endpoint(MotRates(), 1, -1.0, run_stream(0, 0))
+            _mot_law(MotRates(), -1.0)
 
 
-# Each sampler's checks run before any draw, on the arguments its law reads;
-# nan fails no "x < 0" test, so each check must be one that nan fails.
+# Each law's checks run before any draw, on the arguments it reads; nan
+# fails no "x < 0" test, so each check must be one that nan fails. Each
+# entry is named after the endpoint it draws: the law, then its draw.
 _NAN_ARGUMENTS = [
-    ("dipole_survival", "lifetime", lambda x, rng: dipole_survival(3, x, 1.0, rng)),
-    ("dipole_survival", "t_hold", lambda x, rng: dipole_survival(3, 51.0, x, rng)),
-    ("magnetic_trap_survival", "lifetime", lambda x, rng: magnetic_trap_survival(3, x, 1.0, rng)),
-    ("magnetic_trap_survival", "t_hold", lambda x, rng: magnetic_trap_survival(3, 51.0, x, rng)),
-    ("mot_endpoint", "t", lambda x, rng: mot_endpoint(MotRates(), 2, x, rng)),
-    ("hyperfine_endpoint", "t", lambda x, rng: hyperfine_endpoint(1, 1, REF_HF, x, rng)),
+    ("dipole_survival", "lifetime",
+     lambda x, rng: _survival_draw(_atoms(3), _survival_law(x, 1.0), rng)),
+    ("dipole_survival", "t_hold",
+     lambda x, rng: _survival_draw(_atoms(3), _survival_law(51.0, x), rng)),
+    ("magnetic_trap_survival", "lifetime",
+     lambda x, rng: _magnetic_draw(_atoms(3), _survival_law(x, 1.0), rng)),
+    ("magnetic_trap_survival", "t_hold",
+     lambda x, rng: _magnetic_draw(_atoms(3), _survival_law(51.0, x), rng)),
+    ("mot_endpoint", "t", lambda x, rng: _mot_draw(_atoms(2), _mot_law(MotRates(), x), rng)),
+    ("hyperfine_endpoint", "t",
+     lambda x, rng: _hyperfine_draw(_atoms(1), _atoms(1), _hyperfine_law(REF_HF, x), rng)),
     ("synthesize_detection_burst", "window",
      lambda x, rng: synthesize_detection_burst(2, BurstModel(), rng, window=x)),
 ]

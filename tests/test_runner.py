@@ -17,15 +17,23 @@ from atomtrap import (
     GaussianBeam,
     MotCloud,
     MotRates,
+    Phase,
     PhysicsBundle,
+    SequencePlan,
     TrapModel,
+    bind_plan,
+    build_protocol,
+    chain,
     classify_burst,
+    compile_sequence,
     export_dataset,
     geometric_loading_efficiency,
+    gillespie_mot,
     load_config,
     load_dataset_json,
     parse_config,
     run_experiment,
+    run_stream,
     serialize_config,
 )
 from atomtrap import runner
@@ -374,7 +382,10 @@ _LIVE = {
     "experiment.master_seed": ("lifetime", {}, 7),
     "experiment.repetitions": ("lifetime", {}, 3),
     "experiment.atoms_per_run": ("lifetime", {}, 2),
-    "experiment.schedule_s": ("lifetime", {}, "1, 2"),
+    # at 1 s and 2 s every atom survives at both points with probability
+    # ~0.31 whatever the draws, data the survival fit rejects as degenerate;
+    # at 1 s and 80 s that chance is ~1e-14
+    "experiment.schedule_s": ("lifetime", {}, "1, 80"),
     "experiment.loading_mode": ("lifetime", {}, "geometric"),
     "trap.power_w": ("lifetime", _GEOMETRIC, 1.0),
     "trap.waist_m": ("lifetime", _GEOMETRIC, 8e-6),
@@ -427,3 +438,68 @@ def test_every_key_changes_an_export(key, tmp_path):
     base = {"experiment.master_seed": 5, **_FEW_RUNS.get(kind, {}), **extra}
     assert (_exports(_config(kind, base), tmp_path / "base")
             != _exports(_config(kind, {**base, key: value}), tmp_path / "set"))
+
+
+def _rerun_arm(cfg, point, rng) -> dict:
+    """The exported point of one arm of cfg, drawn again from rng outside the runner."""
+    bundle, seq = cfg.physics_bundle(), cfg.sequence
+    n0, reps = cfg.atoms_per_run, cfg.repetitions
+    if cfg.kind == "mot_monitor":
+        traj = gillespie_mot(cfg.mot_rates(), n0, cfg.schedule[0], rng)
+        return {"time_s": traj.times.tolist(), "n_atoms": traj.values.tolist()}
+    if cfg.kind == "magnetic_lifetime":
+        plan = SequencePlan((Phase("magnetic_hold", point["t_hold_s"], prepared_state="mixed"),))
+        rec = bind_plan(plan, bundle)(n0, rng, reps)
+        return {"survived": rec.survivors.sum(), "total": rec.prepared_n.sum()}
+    if cfg.kind in ("lifetime", "transfer_efficiency"):
+        overlap = seq["overlap_s"]
+        plan = compile_sequence(chain(build_protocol("transfer", overlap_s=overlap),
+                                      point["t_hold_s"],
+                                      build_protocol("recapture", overlap_s=overlap)))
+        rec = bind_plan(plan, bundle)(n0, rng, reps)
+        return {"survived": rec.recaptured_n.sum(), "total": rec.prepared_n.sum()}
+    t_hold = point.get("t_s", cfg.schedule[0])
+    plan = compile_sequence(chain(
+        build_protocol(f"prepare_f{point['f_initial']}", overlap_s=seq["overlap_s"],
+                       delay_s=seq["delay_s"]),
+        t_hold, build_protocol("detect", window_s=seq["window_s"])))
+    rec = bind_plan(plan, bundle)(n0, rng, reps)
+    n, counts = rec.final_n.sum(), dict(rec.traces)["detect"].sum()
+    if cfg.kind == "detection_demo":
+        return {"n_atoms": n, "window_counts": counts}
+    burst = bundle.burst
+    p4 = (counts - burst.background_photons_per_window * reps) / (
+        burst.mean_photons_per_atom * n)
+    return {"n": n, "p4": min(max(p4, 0.0), 1.0)}
+
+
+_COUNTER_CONFIGS = {
+    "lifetime": {"repetitions": 7, "schedule_s": "1, 20, 60"},
+    "magnetic_lifetime": {"repetitions": 7, "schedule_s": "0, 20, 60"},
+    "transfer_efficiency": {"repetitions": 30, "schedule_s": "1, 5"},
+    "relaxation": {"repetitions": 4, "schedule_s": "3, 6"},
+    "detection_demo": {},
+    "mot_monitor": {"schedule_s": "5"},
+}
+
+
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_run_counters_name_each_arms_stream(kind):
+    # each arm owns `repetitions` consecutive counters, the counters run on
+    # across the arms in schedule order, and the arm's runs are drawn from the
+    # stream at the first of its counters
+    cfg = small(kind, seed=11, **_COUNTER_CONFIGS[kind])
+    ds = run_experiment(cfg)
+    assert set(_COUNTER_CONFIGS) == set(EXPERIMENT_KINDS)
+    counters = list(ds.run_counters.values())
+    assert [c for arm in counters for c in arm] == list(range(len(counters) * cfg.repetitions))
+    assert all(arm == list(range(arm[0], arm[0] + cfg.repetitions)) for arm in counters)
+    if kind == "mot_monitor":
+        points = {"time_s": [p["time_s"] for p in ds.points],
+                  "n_atoms": [p["n_atoms"] for p in ds.points]}
+        assert _rerun_arm(cfg, None, run_stream(11, counters[0][0])) == points
+        return
+    assert len(counters) == len(ds.points)
+    for (key, arm), point in zip(ds.run_counters.items(), ds.points):
+        again = _rerun_arm(cfg, point, run_stream(11, arm[0]))
+        assert again == {k: point[k] for k in again}, key

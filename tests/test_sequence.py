@@ -24,16 +24,15 @@ from atomtrap import (
     chain,
     compile_sequence,
     detect_steps,
-    dipole_survival,
     gillespie_mot,
-    magnetic_trap_survival,
     run_stream,
     sequence_from_csv,
     sequence_to_csv,
     simulate_sequence,
     validate_sequence,
 )
-from atomtrap.sequence import HOLD_GRACE_S, MIXED_STATE_P4
+from atomtrap.sequence import HOLD_GRACE_S, MIXED_STATE_P4, Phase, RunRecord, SequencePlan
+from atomtrap.signals import PhotonTrace
 import plan_reference
 from two_sample import chi2_two_sample
 
@@ -447,12 +446,13 @@ class TestCompileSequence:
         ]
         assert [ph.dt for ph in plan.phases] == pytest.approx([5e-3, 8e-3, 0.0, 50e-6, 2e-3])
         physics = PhysicsBundle(burst=BurstModel(background_photons_per_window=0.0))
-        for i in range(50):
-            rec = bind_plan(plan, physics)(3, run_stream(4, i))
-            assert (rec.prepared_state, rec.survivors) == (f, rec.final_n)
-            burst = next(tr for name, tr in rec.traces if name == "detect")
-            if f == "3":
-                assert burst.counts.sum() == 0  # no background, and F=3 stays dark
+        rec = bind_plan(plan, physics)(3, run_stream(4, 0), runs=50)
+        assert rec.prepared_state == f
+        assert np.array_equal(rec.survivors, rec.final_n)
+        counts = dict(rec.traces)["detect"]
+        assert counts.shape[0] == 50
+        if f == "3":
+            assert counts.sum() == 0  # no background, and F=3 stays dark
 
     def test_magnetic_hold_after_transfer_gets_no_zero_hold(self):
         # the dipole trap hands over to the magnetic trap at the instant the
@@ -514,9 +514,11 @@ class TestRunPlan:
                     build_protocol("transfer"), 2.0, build_protocol("recapture"))
         a = simulate_sequence(seq, 2, bundle, run_stream(31, 3))
         b = bind_plan(compile_sequence(seq), bundle, traces=True)(2, run_stream(31, 3))
-        assert (a.prepared_n, a.recaptured_n, a.final_n) == (b.prepared_n, b.recaptured_n, b.final_n)
+        assert (a.prepared_n, a.recaptured_n, a.final_n) == (
+            b.prepared_n.item(), b.recaptured_n.item(), b.final_n.item())
+        assert all(type(n) is int for n in (a.prepared_n, a.recaptured_n, a.final_n))
         assert [n for n, _ in a.traces] == [n for n, _ in b.traces] == ["mot", "hold"]
-        for (_, ta), (_, tb) in zip(a.traces, b.traces):
+        for (_, ta), (_, [tb]) in zip(a.traces, b.traces):
             assert np.array_equal(ta.counts, tb.counts)
 
     def test_two_body_loss_runs_the_path(self):
@@ -524,13 +526,30 @@ class TestRunPlan:
                                                   two_body_pair_rate=100.0))
         plan = compile_sequence(
             chain(build_protocol("transfer"), 0.1, build_protocol("recapture")))
-        rec = bind_plan(plan, bundle)(3, run_stream(32, 0))
-        assert 0 <= rec.recaptured_n <= rec.prepared_n
+        rec = bind_plan(plan, bundle)(3, run_stream(32, 0), runs=20)
+        assert np.all((0 <= rec.recaptured_n) & (rec.recaptured_n <= rec.prepared_n))
 
     def test_negative_atoms_rejected(self):
         plan = compile_sequence(build_protocol("transfer"))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="initial_n must be non-negative"):
             bind_plan(plan, PhysicsBundle())(-1, run_stream(0, 0))
+
+    @pytest.mark.parametrize("initial_n", [2.5, float("nan"), 2.0, True])
+    def test_non_integer_atoms_rejected(self, initial_n):
+        # 2.5 ran 2 atoms, and a NaN failed without naming the argument
+        plan = compile_sequence(build_protocol("transfer"))
+        with pytest.raises(TypeError, match="initial_n must be of an integer type"):
+            bind_plan(plan, PhysicsBundle())(initial_n, run_stream(0, 0), runs=3)
+        with pytest.raises(TypeError, match="initial_n must be of an integer type"):
+            simulate_sequence(build_protocol("transfer"), initial_n, PhysicsBundle(),
+                              run_stream(0, 0))
+
+    def test_numpy_integer_atoms_accepted(self):
+        seq = chain(build_protocol("transfer"), 1.0, build_protocol("recapture"))
+        a = simulate_sequence(seq, np.int64(3), PhysicsBundle(), run_stream(5, 0))
+        b = simulate_sequence(seq, 3, PhysicsBundle(), run_stream(5, 0))
+        assert _record(a) == _record(b)
+        assert type(a.final_n) is int
 
     # Branches that no experiment kind takes, each against its law. With no
     # burst background a window holds Poisson(mean_photons_per_atom * n4)
@@ -538,11 +557,8 @@ class TestRunPlan:
     RUNS = 4000
 
     def window_counts(self, plan, n0, physics, seed):
-        counts = []
-        for i in range(self.RUNS):
-            rec = bind_plan(plan, physics)(n0, run_stream(seed, i))
-            counts.append(int(next(tr for name, tr in rec.traces if name == "detect").counts.sum()))
-        return counts
+        rec = bind_plan(plan, physics)(n0, run_stream(seed, 0), self.RUNS)
+        return dict(rec.traces)["detect"].sum(axis=1).tolist()
 
     def burst_law(self, n0, p4, seed):
         rng = run_stream(seed, 0)
@@ -556,13 +572,9 @@ class TestRunPlan:
         plan = compile_sequence(seq)
         assert [ph.category for ph in plan.phases] == ["magnetic_hold"]
         physics = PhysicsBundle(magnetic_lifetime=40.0)
-        held = [bind_plan(plan, physics)(6, run_stream(35, i)).survivors
-                for i in range(self.RUNS)]
-        direct = [magnetic_trap_survival(6, 40.0, 30.0, run_stream(36, i))
-                  for i in range(self.RUNS)]
+        held = bind_plan(plan, physics)(6, run_stream(35, 0), self.RUNS).survivors.tolist()
         # spin projection onto the trappable half, then exponential decay
         law = run_stream(37, 0).binomial(6, 0.5 * np.exp(-30.0 / 40.0), size=self.RUNS)
-        assert chi2_two_sample(held, direct) > 1e-3
         assert chi2_two_sample(held, law.tolist()) > 1e-3
 
     def test_mixed_transfer_read_by_a_detection(self):
@@ -631,8 +643,7 @@ def _old_transfer_hold_recapture(n0, physics, t_hold, overlap, rng):
     prepared = n
     if physics.loading_efficiency < 1.0 and n:
         n = int(rng.binomial(n, physics.loading_efficiency))
-    recaptured = dipole_survival(n, physics.dipole_lifetime, t_hold, rng)
-    return prepared, recaptured
+    return prepared, plan_reference.survive(n, physics.dipole_lifetime, t_hold, rng)
 
 
 def test_transfer_recapture_distribution_matches_path_reference():
@@ -642,10 +653,8 @@ def test_transfer_recapture_distribution_matches_path_reference():
     plan = compile_sequence(
         chain(build_protocol("transfer"), 1.0, build_protocol("recapture")))
     runs = 4000
-    new = []
-    for i in range(runs):
-        rec = bind_plan(plan, physics)(3, run_stream(33, i))
-        new.append((rec.prepared_n, rec.recaptured_n))
+    rec = bind_plan(plan, physics)(3, run_stream(33, 0), runs)
+    new = list(zip(rec.prepared_n.tolist(), rec.recaptured_n.tolist()))
     old = [_old_transfer_hold_recapture(3, physics, 1.0, 5e-3, run_stream(34, i))
            for i in range(runs)]
     assert chi2_two_sample(new, old) > 1e-3
@@ -823,7 +832,8 @@ _BUNDLES = st.builds(
 
 
 def _plain(value):
-    return np.asarray(value).tolist()
+    # an array argument of one run is logged as the scalar a single run passes
+    return np.squeeze(value).tolist()
 
 
 class _DrawLog:
@@ -836,7 +846,8 @@ class _DrawLog:
         method = getattr(self.rng, name)
 
         def draw(*args, **kwargs):
-            self.log.append((name, _plain(args), {k: _plain(v) for k, v in kwargs.items()}))
+            self.log.append((name, [_plain(a) for a in args],
+                             {k: _plain(v) for k, v in kwargs.items()}))
             return method(*args, **kwargs)
         return draw
 
@@ -846,17 +857,82 @@ def _record(rec) -> tuple:
             [(name, tr.t0, tr.bin_width, tr.counts.tolist()) for name, tr in rec.traces])
 
 
+def _one_run(rec: RunRecord, physics: PhysicsBundle) -> RunRecord:
+    """A bound record of one run in the reference's form: ints, and a
+    PhotonTrace per trace (an untraced window's counts as the burst trace)."""
+    def one(n):
+        return None if n is None else n.item()
+
+    traces = []
+    for name, runs in rec.traces:
+        (run,) = runs
+        if not isinstance(run, PhotonTrace):
+            run = PhotonTrace(t0=0.0, bin_width=physics.burst.detection_bin, counts=run)
+        traces.append((name, run))
+    return RunRecord(prepared_n=one(rec.prepared_n), prepared_state=rec.prepared_state,
+                     traces=traces, survivors=one(rec.survivors),
+                     recaptured_n=one(rec.recaptured_n), final_n=one(rec.final_n))
+
+
 @given(plan=_bindable_plans(), physics=_BUNDLES, traces=st.booleans(),
        initial_n=st.integers(0, 6))
 @settings(max_examples=150, deadline=None)
 def test_bound_plan_makes_the_reference_draws(plan, physics, traces, initial_n):
-    # the same draws with the same arguments in the same order, so the same
-    # record and the generator left at the same point; one bound run serves
-    # several runs, as the runner uses it
+    # run once, the same draws with the same arguments in the same order, so
+    # the same record and the generator left at the same point; one bound
+    # run serves several streams
     run = bind_plan(plan, physics, traces)
     for i in range(3):
         bound, reference = _DrawLog(run_stream(61, i)), _DrawLog(run_stream(61, i))
         want = plan_reference.run_plan(plan, initial_n, physics, reference, traces)
-        assert _record(run(initial_n, bound)) == _record(want)
+        assert _record(_one_run(run(initial_n, bound), physics)) == _record(want)
         assert bound.log == reference.log
         assert bound.rng.random() == reference.rng.random()
+
+
+# An arm's runs drawn at once against as many runs of the per-run reference,
+# each on its own stream: two-sample chi-square tests, rejected below
+# p = 1e-3. Each arm runs at the default physics and where the transfer
+# efficiency and the MOT loading show.
+_ARM_RUNS = 4000
+_ARM_PHYSICS = {
+    "defaults": PhysicsBundle(),
+    "eta0.709-R20": PhysicsBundle(mot_rates=MotRates(loading_rate_r=20.0),
+                                  loading_efficiency=0.709),
+}
+
+
+def _reference_runs(plan, n0, physics, seed):
+    return [plan_reference.run_plan(plan, n0, physics, run_stream(seed, i))
+            for i in range(_ARM_RUNS)]
+
+
+@pytest.mark.parametrize("physics", _ARM_PHYSICS.values(), ids=_ARM_PHYSICS)
+class TestBatchedArmFollowsTheReference:
+    def test_transfer_arm_prepared_and_recaptured(self, physics):
+        # a lifetime arm: the recapture is booked before the recapture
+        # overlap loads, so recaptured never exceeds prepared
+        plan = compile_sequence(chain(build_protocol("transfer"), 20.0,
+                                      build_protocol("recapture")))
+        rec = bind_plan(plan, physics)(4, run_stream(70, 0), _ARM_RUNS)
+        batched = list(zip(rec.prepared_n.tolist(), rec.recaptured_n.tolist()))
+        reference = [(r.prepared_n, r.recaptured_n) for r in _reference_runs(plan, 4, physics, 71)]
+        assert chi2_two_sample(batched, reference) > 1e-3
+
+    def test_magnetic_arm_survivors(self, physics):
+        # the plan a magnetic_lifetime arm binds
+        plan = SequencePlan((Phase("magnetic_hold", 20.0, prepared_state="mixed"),))
+        batched = bind_plan(plan, physics)(4, run_stream(72, 0), _ARM_RUNS).survivors.tolist()
+        reference = [r.survivors for r in _reference_runs(plan, 4, physics, 73)]
+        assert chi2_two_sample(batched, reference) > 1e-3
+
+    @pytest.mark.parametrize("f", [3, 4])
+    def test_detect_arm_window_sums(self, physics, f):
+        # a relaxation arm
+        plan = compile_sequence(chain(build_protocol(f"prepare_f{f}"), 4.5,
+                                      build_protocol("detect")))
+        rec = bind_plan(plan, physics)(3, run_stream(74, 0), _ARM_RUNS)
+        batched = dict(rec.traces)["detect"].sum(axis=1).tolist()
+        reference = [int(dict(r.traces)["detect"].counts.sum())
+                     for r in _reference_runs(plan, 3, physics, 75)]
+        assert chi2_two_sample(batched, reference) > 1e-3

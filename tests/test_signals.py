@@ -185,6 +185,23 @@ class TestDetectionBurst:
         b = synthesize_detection_burst(2, model, run_stream(13, 5))
         assert np.array_equal(a.counts, b.counts)
 
+    @pytest.mark.parametrize("n_f4", [2.5, float("nan"), 2.0, True])
+    def test_non_integer_bright_atoms_rejected(self, n_f4):
+        # 2.5 drew for 2.5 bright atoms, and a NaN failed inside numpy
+        rng = run_stream(0, 0)
+        with pytest.raises(TypeError, match="^n_f4 must be of an integer type"):
+            synthesize_detection_burst(n_f4, BurstModel(), rng)
+        assert rng.random() == run_stream(0, 0).random()  # nothing was drawn
+
+    def test_negative_bright_atoms_rejected(self):
+        with pytest.raises(ValueError, match="^n_f4 must be non-negative"):
+            synthesize_detection_burst(-1, BurstModel(), run_stream(0, 0))
+
+    def test_numpy_integer_bright_atoms_accepted(self):
+        a = synthesize_detection_burst(np.int64(2), BurstModel(), run_stream(13, 5))
+        b = synthesize_detection_burst(2, BurstModel(), run_stream(13, 5))
+        assert np.array_equal(a.counts, b.counts)
+
     @pytest.mark.parametrize("window", [float("inf"), float("nan"), 0.0, -1.0])
     def test_window_must_be_positive_and_finite(self, window):
         with pytest.raises(ValueError, match="^window must be positive and finite"):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atomtrap import run_stream
-from atomtrap.streams import RunStreams
 
 
 def test_reproducible():
@@ -78,43 +77,50 @@ def _same(a: list, b: list) -> bool:
     return all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
 
 
+def _philox(seed: int, index: int) -> np.random.Generator:
+    """The stream's definition: key seed, the index in the counter's high word."""
+    return np.random.Generator(np.random.Philox(key=seed, counter=index << 192))
+
+
 INDICES = [0, 1, 77, 10**6, 2**63 + 1, 2**64 - 1]
 
 
 @pytest.mark.parametrize("index", INDICES)
 def test_run_streams_equal_run_stream(index):
-    assert _same(_draws(RunStreams(9).at(index)), _draws(run_stream(9, index)))
+    # run_stream hands the state setter Python-int lists, which stay exact
+    # up to 2**64 - 1
+    assert _same(_draws(_philox(9, index)), _draws(run_stream(9, index)))
 
 
 def test_run_streams_out_of_order_and_repeated():
-    streams = RunStreams(9)
     for index in [77, 0, 2**64 - 1, 77, 1, 0, 10**6, 2**63 + 1, 1]:
-        assert _same(_draws(streams.at(index)), _draws(run_stream(9, index)))
+        assert _same(_draws(_philox(9, index)), _draws(run_stream(9, index)))
 
 
+# Generators run_stream returned never alias: one left mid-block, or holding
+# a cached 32-bit half, neither changes a new one nor is changed by it.
 def test_run_streams_rewind_a_half_used_buffer():
-    streams = RunStreams(4)
-    rng = streams.at(3)
-    rng.random(3)  # three of the four words of the current block
+    rng, reference = run_stream(4, 3), _philox(4, 3)
+    rng.random(3), reference.random(3)  # three of the four words of the current block
     assert rng.bit_generator.state["buffer_pos"] == 3
-    assert _same(_draws(streams.at(8)), _draws(run_stream(4, 8)))
+    assert _same(_draws(run_stream(4, 8)), _draws(_philox(4, 8)))
+    assert _same(_draws(rng), _draws(reference))
 
 
 def test_run_streams_rewind_a_cached_32_bit_half():
-    streams = RunStreams(4)
-    rng = streams.at(3)
-    rng.integers(0, 2**32, dtype=np.uint32)
+    rng, reference = run_stream(4, 3), _philox(4, 3)
+    rng.integers(0, 2**32, dtype=np.uint32), reference.integers(0, 2**32, dtype=np.uint32)
     assert rng.bit_generator.state["has_uint32"] == 1
-    assert _same(_draws(streams.at(8)), _draws(run_stream(4, 8)))
+    assert _same(_draws(run_stream(4, 8)), _draws(_philox(4, 8)))
+    assert _same(_draws(rng), _draws(reference))
 
 
 @pytest.mark.parametrize("seed, index", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
 def test_run_streams_reject_what_run_stream_rejects(seed, index):
-    with pytest.raises(ValueError) as fresh:
+    # the message names the argument out of range
+    name = "master_seed" if index == 0 else "run_index"
+    with pytest.raises(ValueError, match=rf"^{name} must be in \[0, 2\*\*64\)$"):
         run_stream(seed, index)
-    with pytest.raises(ValueError) as reused:
-        RunStreams(seed).at(index)
-    assert str(reused.value) == str(fresh.value)
 
 
 @pytest.mark.parametrize("seed, index", [(5, 1.5), (5.7, 1), (5, 1.0), (5.0, 1), (5, "1")])
@@ -122,14 +128,12 @@ def test_non_integer_seed_or_index_rejected(seed, index):
     # int() would truncate 1.5 and 5.7 and draw run_stream(5, 1)'s stream
     with pytest.raises(TypeError):
         run_stream(seed, index)
-    with pytest.raises(TypeError):
-        RunStreams(seed).at(index)
 
 
 def test_numpy_integer_seed_and_index_accepted():
     expected = _draws(run_stream(5, 2**63 + 1))
     assert _same(_draws(run_stream(np.uint64(5), np.uint64(2**63 + 1))), expected)
-    assert _same(_draws(RunStreams(np.int64(5)).at(np.uint64(2**63 + 1))), expected)
+    assert _same(_draws(run_stream(np.int64(5), np.uint64(2**63 + 1))), expected)
 
 
 PRIOR_DRAWS = {
@@ -145,8 +149,8 @@ PRIOR_DRAWS = {
        prior=st.lists(st.sampled_from(sorted(PRIOR_DRAWS)), max_size=6))
 @settings(max_examples=100, deadline=None)
 def test_run_streams_equal_run_stream_after_any_prior_run(seed, index, previous, prior):
-    streams = RunStreams(seed)
-    rng = streams.at(previous)
+    # whatever another stream of the same seed drew, run_stream is its definition
+    rng = run_stream(seed, previous)
     for name in prior:
         PRIOR_DRAWS[name](rng)
-    assert _same(_draws(streams.at(index)), _draws(run_stream(seed, index)))
+    assert _same(_draws(run_stream(seed, index)), _draws(_philox(seed, index)))

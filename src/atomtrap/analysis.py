@@ -9,7 +9,9 @@ constraints (Bertsekas 1982) with analytic first and second derivatives
 of the curve, the observed information where it is positive definite and
 the Fisher information otherwise, and a projected Armijo line search. It
 converges on optima that sit on a bound, such as P4(0) = 1 for a pure
-preparation.
+preparation. Its work over the data points is numpy, one exp per trial
+point, and its work over the at most 3 parameters is Python floats; the
+numpy-per-step engine it replaced is the reference in tests/fit_reference.py.
 """
 
 from __future__ import annotations
@@ -258,32 +260,11 @@ class _DecayCurve:
         self.start = start
         self.free = [0] + [i for i, held in ((1, eq), (2, start)) if held is None]
 
-    def _unpack(self, x):
+    def unpack(self, x):
         rest = iter(x[1:])
         eq = next(rest) if self.eq is None else self.eq
         start = next(rest) if self.start is None else self.start
         return x[0], eq, start
-
-    def p(self, t, x):
-        tau, eq, start = self._unpack(x)
-        with np.errstate(over="ignore", under="ignore"):
-            return eq + (start - eq) * np.exp(-t / tau)
-
-    def derivatives(self, t, x):
-        """Jacobian (n, k) and second derivatives (n, k, k) of p in x."""
-        tau, eq, start = self._unpack(x)
-        with np.errstate(over="ignore", under="ignore"):
-            e = np.exp(-t / tau)
-            de = e * t / tau**2  # de/dtau
-            d2e = de * (t / tau - 2) / tau
-        amp = start - eq
-        jac = np.stack([amp * de, 1 - e, e], axis=1)
-        hess = np.zeros((len(t), 3, 3))
-        hess[:, 0, 0] = amp * d2e
-        hess[:, 0, 1] = hess[:, 1, 0] = -de
-        hess[:, 0, 2] = hess[:, 2, 0] = de
-        f = self.free
-        return jac[:, f], hess[:, f][:, :, f]
 
 
 class _BinomialModel:
@@ -291,31 +272,42 @@ class _BinomialModel:
 
     def __init__(self, t, succ, tot, curve: _DecayCurve):
         self.t = np.asarray(t, dtype=float)
+        self.neg_t = -self.t
         self.succ = np.asarray(succ, dtype=float)
         self.tot = np.asarray(tot, dtype=float)
         self.fail = self.tot - self.succ
         self.curve = curve
 
-    # The likelihood is evaluated ~10 times per Newton step, so it calls the
-    # min/max ufuncs and the sum method, skipping np.clip's and np.sum's
-    # Python wrappers; the values are the same.
-    def _p(self, x):
-        return np.minimum(np.maximum(self.curve.p(self.t, x), _P_EPS), 1 - _P_EPS)
+    def evaluate(self, x):
+        """exp(-t/tau), p clipped to [_P_EPS, 1 - _P_EPS] and the NLL at x. It runs
+        once per line-search trial, so it skips np.clip's and np.sum's wrappers."""
+        tau, eq, start = self.curve.unpack(x)
+        with np.errstate(over="ignore", under="ignore"):
+            e = np.exp(self.neg_t / tau)
+            p = np.minimum(np.maximum(eq + (start - eq) * e, _P_EPS), 1 - _P_EPS)
+        return e, p, -float((self.succ * np.log(p) + self.fail * np.log1p(-p)).sum())
 
-    def nll(self, x):
-        p = self._p(x)
-        return -float((self.succ * np.log(p) + self.fail * np.log1p(-p)).sum())
-
-    def derivatives(self, x):
-        """Gradient, observed information and Fisher information of the NLL."""
-        p = self._p(x)
-        jac, d2p = self.curve.derivatives(self.t, x)
-        w = self.succ / p - self.fail / (1 - p)  # d loglik / dp
-        grad = -jac.T @ w
-        observed = (jac.T * (self.succ / p**2 + self.fail / (1 - p) ** 2)) @ jac
-        observed -= np.einsum("i,ijk->jk", w, d2p)
-        fisher = (jac.T * (self.tot / (p * (1 - p)))) @ jac
-        return grad, observed, fisher
+    def derivatives(self, x, e, p):
+        """Gradient, observed information and Fisher information of the NLL at
+        x, as Python floats, from evaluate's e = exp(-t/tau) and p at x. The
+        second derivatives of p are (start - eq) d2e/dtau2 on (tau, tau),
+        -de/dtau on (tau, eq) and +de/dtau on (tau, start): two weighted sums."""
+        tau, eq, start = self.curve.unpack(x)
+        amp = start - eq
+        with np.errstate(over="ignore", under="ignore"):
+            de = e * self.t / tau**2  # de/dtau
+            d2e = de * (self.t / tau - 2) / tau
+        jac = np.array([(amp * de, 1 - e, e)[i] for i in self.curve.free])
+        q = 1 - p
+        w = self.succ / p - self.fail / q  # d loglik / dp
+        observed = ((jac * (self.succ / p**2 + self.fail / q**2)) @ jac.T).tolist()
+        observed[0][0] -= float(w @ (amp * d2e))
+        cross = float(w @ de)
+        for j, i in enumerate(self.curve.free[1:], 1):
+            observed[0][j] += cross if i == 1 else -cross
+            observed[j][0] += cross if i == 1 else -cross
+        fisher = ((jac * (self.tot / (p * q))) @ jac.T).tolist()
+        return (-(jac @ w)).tolist(), observed, fisher
 
     def solve(self, x0, param_names, lower, upper):
         """Projected Newton (Bertsekas 1982) with an Armijo search on the box.
@@ -325,43 +317,39 @@ class _BinomialModel:
         or on the Fisher information where the observed one is not
         positive definite.
         """
-        x = np.clip(np.asarray(x0, dtype=float), lower, upper)
-        f = self.nll(x)
+        x = [min(max(float(v), lo), hi) for v, lo, hi in zip(x0, lower, upper)]
+        e, p, f = self.evaluate(x)
         for _ in range(_MAX_ITER):
-            g, observed, fisher = self.derivatives(x)
-            free = ~_held(x, g, lower, upper)
-            if not np.all(np.isfinite(g)) or np.linalg.norm(g[free]) < 1e-9:
+            g, observed, fisher = self.derivatives(x, e, p)
+            free = _free(x, g, lower, upper)
+            if not all(map(math.isfinite, g)) or math.hypot(*(g[i] for i in free)) < 1e-9:
                 break
-            sub = np.ix_(free, free)
-            direction = _newton_direction(g[free], observed[sub], fisher[sub])
-            if direction is None:
+            step = _newton_step(g, free, observed, fisher)
+            if step is None:
                 break
-            step = np.zeros_like(x)
-            step[free] = direction
             # tau moves by at most a factor _TAU_STEP per iteration: a longer
             # step can land where exp(-t/tau) is flat over the data (tau -> 0
             # or infinity), and there the gradient and information vanish
-            lo, hi = lower.copy(), upper.copy()
-            lo[0] = max(lower[0], x[0] / _TAU_STEP)
-            hi[0] = min(upper[0], x[0] * _TAU_STEP)
+            lo = [max(lower[0], x[0] / _TAU_STEP), *lower[1:]]
+            hi = [min(upper[0], x[0] * _TAU_STEP), *upper[1:]]
             # accept-tolerance scales with |f| (float resolution of the NLL)
             tol = 1e-12 + 1e-12 * abs(f)
             scale = 1.0
             for _ in range(40):
-                x_new = np.minimum(np.maximum(x + scale * step, lo), hi)
-                f_new = self.nll(x_new)
-                if f_new <= f + _ARMIJO * (g @ (x_new - x)) + tol:
+                x_new = [min(max(v + scale * s, a), b) for v, s, a, b in zip(x, step, lo, hi)]
+                e_new, p_new, f_new = self.evaluate(x_new)
+                if f_new <= f + _ARMIJO * sum(gi * (v - u) for gi, v, u in zip(g, x_new, x)) + tol:
                     break
                 scale *= 0.5
             else:
                 break
-            if np.array_equal(x_new, x):
+            if x_new == x:
                 break
-            x, f = x_new, f_new
-        g, observed, _ = self.derivatives(x)
-        g = np.where(_held(x, g, lower, upper), 0.0, g)
-        if not np.all(np.isfinite(g)) or np.linalg.norm(g) > 1e-4:
-            raise FitError(f"fit did not converge (gradient norm {np.linalg.norm(g):.3g})")
+            x, e, p, f = x_new, e_new, p_new, f_new
+        g, observed, _ = self.derivatives(x, e, p)
+        norm = math.hypot(*(g[i] for i in _free(x, g, lower, upper)))
+        if not norm <= 1e-4:  # NaN fails too
+            raise FitError(f"fit did not converge (gradient norm {norm:.3g})")
         try:
             cov = np.linalg.inv(observed)
         except np.linalg.LinAlgError as exc:
@@ -370,7 +358,7 @@ class _BinomialModel:
             raise FitError("observed information is not positive definite at the optimum")
         errs = np.sqrt(np.diag(cov))
         return FitResult(
-            parameters=dict(zip(param_names, (float(v) for v in x))),
+            parameters=dict(zip(param_names, x)),
             standard_errors=dict(zip(param_names, (float(e) for e in errs))),
             covariance=cov,
             log_likelihood=-f,
@@ -378,19 +366,34 @@ class _BinomialModel:
         )
 
 
-def _held(x, g, lower, upper):
+def _free(x, g, lower, upper):
     # KKT: at an active lower bound only a negative gradient component
     # signals non-optimality (and vice versa at an upper bound)
-    return ((x <= lower + 1e-12) & (g > 0)) | ((x >= upper - 1e-12) & (g < 0))
+    return [i for i, (v, gi, lo, hi) in enumerate(zip(x, g, lower, upper))
+            if not (v <= lo + 1e-12 and gi > 0 or v >= hi - 1e-12 and gi < 0)]
 
 
-def _newton_direction(g, observed, fisher):
+def _newton_step(g, free, observed, fisher):
+    """-H^-1 g on the free parameters, 0 on the others, H being the free block
+    of observed, or of fisher where that is not positive definite; None if neither
+    is. H = L D L^T (square-root-free Cholesky) is positive definite when every
+    pivot is > 0, and a NaN pivot fails, as in LAPACK."""
+    k = len(free)
     for info in (observed, fisher):
-        try:
-            np.linalg.cholesky(info)  # positive definite?
-            return -np.linalg.solve(info, g)
-        except np.linalg.LinAlgError:
-            continue
+        rows = [[info[i][j] for j in free] + [-g[i]] for i in free]
+        for j in range(k):
+            if not rows[j][j] > 0:
+                break
+            for i in range(j + 1, k):
+                r = rows[i][j] / rows[j][j]
+                rows[i] = [a - r * b for a, b in zip(rows[i], rows[j])]
+        else:
+            z = [0.0] * k
+            for i in reversed(range(k)):
+                back = sum(rows[i][m] * z[m] for m in range(i + 1, k))
+                z[i] = (rows[i][k] - back) / rows[i][i]
+            step = dict(zip(free, z))
+            return [step.get(i, 0.0) for i in range(len(g))]
     return None
 
 
@@ -442,12 +445,12 @@ def fit_exponential_survival(points, offset_free: bool = False) -> FitResult:
     if offset_free:
         names = ("tau", "a")
         x0 = [tau0, min(float(frac.max()), 1.0)]
-        lower, upper = np.array([1e-9, 1e-9]), np.array([np.inf, 1.0])
+        lower, upper = (1e-9, 1e-9), (math.inf, 1.0)
         curve = _DecayCurve(eq=0.0)
     else:
         names = ("tau",)
         x0 = [tau0]
-        lower, upper = np.array([1e-9]), np.array([np.inf])
+        lower, upper = (1e-9,), (math.inf,)
         curve = _DecayCurve(eq=0.0, start=1.0)
     return _fit(_BinomialModel(t, succ, tot, curve), [x0], names, lower, upper, "survival fit")
 
@@ -486,7 +489,7 @@ def fit_relaxation(points, f_initial: int) -> FitResult:
     peq_guess = float(np.mean(p4[t >= np.median(t)]))
     span = max(t.max() - t.min(), 1e-6)
     names = ("tau", "p4_eq", "p4_0")
-    lower, upper = np.array([1e-9, 0.0, 0.0]), np.array([np.inf, 1.0, 1.0])
+    lower, upper = (1e-9, 0.0, 0.0), (math.inf, 1.0, 1.0)
     starts = [
         [tau0, min(max(peq_guess, 0.05), 0.95), min(max(p0_guess, 0.02), 0.98)]
         for tau0 in span * np.array([0.1, 0.3, 1.0, 3.0])
@@ -514,5 +517,5 @@ def fit_relaxation_joint(points_f3, points_f4) -> FitResult:
 
     span = max(t.max() - t.min(), 1e-6)
     names = ("tau", "p4_eq")
-    lower, upper = np.array([1e-9, 0.0]), np.array([np.inf, 1.0])
+    lower, upper = (1e-9, 0.0), (math.inf, 1.0)
     return _fit(model, [[0.3 * span, 0.5]], names, lower, upper, "joint relaxation fit")

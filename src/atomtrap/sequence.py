@@ -442,7 +442,7 @@ def bind_plan(plan: SequencePlan, physics: PhysicsBundle, traces: bool = False):
     not classified here. With traces=True the MOT fluorescence of phases of
     at least one detector bin and the stray light of such holds are
     synthesized too, and every trace is a PhotonTrace. run raises TypeError
-    when initial_n is not of an integer type, ValueError when it is negative.
+    when initial_n or runs is not an integer, ValueError when initial_n < 0 or runs < 1.
     """
     det = physics.detector
     mot = physics.mot_rates
@@ -469,6 +469,8 @@ def bind_plan(plan: SequencePlan, physics: PhysicsBundle, traces: bool = False):
         bound.append((ph, traced, law))
 
     def run(initial_n: int, rng: np.random.Generator, runs: int = 1) -> RunRecord:
+        if not nonnegative_integers(runs, "runs") >= 1:
+            raise ValueError("runs must be at least 1")
         n = np.full(runs, nonnegative_integers(initial_n, "initial_n"), dtype=np.int64)
         n4 = None  # atoms in F=4 while the hyperfine state is tracked
         out = []

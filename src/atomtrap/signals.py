@@ -365,12 +365,16 @@ def burst_count_logpmf(counts, k, model: BurstModel) -> np.ndarray:
 def nonnegative_integers(value, name: str) -> np.ndarray:
     """value as an integer array; raises TypeError, naming it, when its entries
     are not integers (a float is rejected, not truncated), ValueError when one
-    is negative."""
+    is negative or above the int64 range."""
     value = np.asarray(value)
-    if value.dtype.kind not in "iu":
+    # numpy holds an int above int64 as uint64, or above that as a Python int
+    if value.dtype.kind not in "iuO" or value.dtype == object and not all(
+            type(v) is int for v in value.flat):
         raise TypeError(f"{name} must be of an integer type, not {value.dtype}")
     if (value < 0).any():
         raise ValueError(f"{name} must be non-negative")
+    if value.dtype.kind != "i" and (value > 2**63 - 1).any():
+        raise ValueError(f"{name} must be at most 2**63 - 1")
     return value
 
 

@@ -46,7 +46,7 @@ DIGESTS = {
     },
     "relaxation": {
         "relaxation.csv": "a1f1fc257e464febf00c702861f58adb1d724d1c367e6a3bc066f54e3010c2b8",
-        "relaxation.json": "2c2c1d148e863106591db323b8380c02a751092b1e60e58755205875a99fc9c7",
+        "relaxation.json": "de49eddb96be685909b1ca43b3a2802f1cdcf3fe703cf3a9f4c074f9fe9c54bc",
     },
     "transfer_efficiency": {
         "transfer_efficiency.csv": "634f7caa4394e5c29037566c8de751281a07d878744356e48803aa7eb0cbe670",

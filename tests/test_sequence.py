@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import random
+import re
 
 import numpy as np
 import pytest
@@ -543,6 +544,28 @@ class TestRunPlan:
         with pytest.raises(TypeError, match="initial_n must be of an integer type"):
             simulate_sequence(build_protocol("transfer"), initial_n, PhysicsBundle(),
                               run_stream(0, 0))
+
+    @pytest.mark.parametrize("initial_n", [2**63, 2**64])
+    def test_atoms_beyond_int64_rejected(self, initial_n):
+        # 2**63 wrapped negative inside numpy, and 2**64 was called a non-integer
+        plan = compile_sequence(build_protocol("transfer"))
+        with pytest.raises(ValueError, match=r"^initial_n must be at most 2\*\*63 - 1$"):
+            bind_plan(plan, PhysicsBundle())(initial_n, run_stream(0, 0), runs=2)
+
+    @pytest.mark.parametrize("runs, error, message", [
+        (2.5, TypeError, "runs must be of an integer type, not float64"),
+        (True, TypeError, "runs must be of an integer type, not bool"),
+        (-1, ValueError, "runs must be non-negative"),
+        (0, ValueError, "runs must be at least 1"),
+        (2**64, ValueError, "runs must be at most 2**63 - 1"),
+    ])
+    def test_bad_runs_rejected(self, runs, error, message):
+        # 2.5 and -1 failed inside numpy, and 0 returned empty arrays
+        plan = compile_sequence(build_protocol("transfer"))
+        rng = run_stream(0, 0)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            bind_plan(plan, PhysicsBundle())(2, rng, runs)
+        assert rng.random() == run_stream(0, 0).random()  # nothing was drawn
 
     def test_numpy_integer_atoms_accepted(self):
         seq = chain(build_protocol("transfer"), 1.0, build_protocol("recapture"))

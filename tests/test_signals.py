@@ -197,6 +197,12 @@ class TestDetectionBurst:
         with pytest.raises(ValueError, match="^n_f4 must be non-negative"):
             synthesize_detection_burst(-1, BurstModel(), run_stream(0, 0))
 
+    @pytest.mark.parametrize("n_f4", [2**63, 2**64])
+    def test_bright_atoms_beyond_int64_rejected(self, n_f4):
+        # 2**63 failed inside numpy's Poisson draw, and 2**64 was called a non-integer
+        with pytest.raises(ValueError, match=r"^n_f4 must be at most 2\*\*63 - 1$"):
+            synthesize_detection_burst(n_f4, BurstModel(), run_stream(0, 0))
+
     def test_numpy_integer_bright_atoms_accepted(self):
         a = synthesize_detection_burst(np.int64(2), BurstModel(), run_stream(13, 5))
         b = synthesize_detection_burst(2, BurstModel(), run_stream(13, 5))
@@ -231,6 +237,10 @@ class TestBurstCountLogpmf:
         (True, 1, TypeError, "counts must be of an integer type, not bool"),
         ([3, -1], 1, ValueError, "counts must be non-negative"),
         (3, [0, -2], ValueError, "k must be non-negative"),
+        (2**63, 1, ValueError, "counts must be at most 2**63 - 1"),
+        ([3, 2**64], 1, ValueError, "counts must be at most 2**63 - 1"),
+        (np.array([3, 1.5], dtype=object), 1, TypeError,
+         "counts must be of an integer type, not object"),
     ])
     def test_non_integer_or_negative_arguments_raise(self, counts, k, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):

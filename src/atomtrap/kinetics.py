@@ -10,7 +10,8 @@ array and draws once for all of them; when no run holds an atom it draws
 nothing and returns the atoms as they are. sequence.bind_plan calls each
 helper once per phase and each draw once per arm. There are no public
 per-run samplers: gillespie_mot is the one path simulator, for two-body
-loss and traced runs, where no closed form exists.
+loss and traced runs, where no closed form exists; its phases are the only
+ones that a bound plan walks run by run.
 """
 
 from __future__ import annotations
@@ -110,6 +111,24 @@ class StateTrajectory:
         return int(self.values[-1])
 
 
+def nonnegative_integers(value, name: str) -> np.ndarray:
+    """value as an integer array; raises TypeError, naming it, when its entries
+    are not integers (a float is rejected, not truncated), ValueError when one
+    is negative or above the int64 range."""
+    array = np.asarray(value)
+    # numpy reads a sequence of ints with one above the int64 range as floats;
+    # it holds an int above int64 as uint64, or above that as a Python int
+    ints = np.asarray(value, dtype=object) if array.dtype.kind == "f" else array
+    if ints.dtype.kind not in "iuO" or ints.dtype == object and not all(
+            type(v) is int for v in ints.flat):
+        raise TypeError(f"{name} must be of an integer type, not {array.dtype}")
+    if (ints < 0).any():
+        raise ValueError(f"{name} must be non-negative")
+    if ints.dtype.kind != "i" and (ints > 2**63 - 1).any():
+        raise ValueError(f"{name} must be at most 2**63 - 1")
+    return ints
+
+
 def gillespie_mot(
     rates: MotRates, n0: int, t_max: float, rng: np.random.Generator
 ) -> StateTrajectory:
@@ -117,16 +136,15 @@ def gillespie_mot(
 
     Events: loading (N -> N+1) at constant rate R, one-body loss at
     gamma*N, and two-body loss at rate beta*N(N-1)/2 removing the
-    configured multiplicity (floored at zero atoms).
+    configured multiplicity (floored at zero atoms). Raises TypeError when
+    n0 is not of an integer type and ValueError when it is negative.
     """
     if not 0 < t_max < np.inf:
         raise ValueError("t_max must be positive and finite")
-    if n0 < 0:
-        raise ValueError("n0 must be non-negative")
+    n = int(nonnegative_integers(n0, "n0"))
     times = [0.0]
-    values = [int(n0)]
+    values = [n]
     t = 0.0
-    n = int(n0)
     r_load = rates.loading_rate_r
     gamma = rates.one_body_loss
     beta = rates.two_body_pair_rate

@@ -248,7 +248,8 @@ class RunRecord:
     """Outcome of the runs of a bound plan: each atom number an int array over
     the runs, None where the plan books none, and per detect or traced phase
     (category, a PhotonTrace per run), where an untraced detect phase gives
-    its photon counts per bin as an int array of shape (runs, bins) instead.
+    its photon counts per bin, drawn in one call, as an int array of shape
+    (runs, bins) instead.
     simulate_sequence's record holds its one run: ints and PhotonTraces.
     """
 
@@ -436,13 +437,14 @@ def bind_plan(plan: SequencePlan, physics: PhysicsBundle, traces: bool = False):
     for all of them: MOT and overlap phases from the birth-death endpoint
     law, dipole holds with exponential survival and, where a later
     detection reads it, the hyperfine endpoint law, a magnetic hold with
-    the 50% spin projection and the same decay. Two phases draw run by run:
-    a MOT phase with two-body loss or a trace follows a gillespie_mot path,
-    and a detect phase draws each run's burst, which is always returned and
-    not classified here. With traces=True the MOT fluorescence of phases of
-    at least one detector bin and the stray light of such holds are
-    synthesized too, and every trace is a PhotonTrace. run raises TypeError
-    when initial_n or runs is not an integer, ValueError when initial_n < 0 or runs < 1.
+    the 50% spin projection and the same decay, and a detect phase each
+    bin's photon count from its Poisson law, always returned and not
+    classified here. Only a MOT phase with two-body loss or a trace, which
+    has no closed form, draws run by run along a gillespie_mot path. With
+    traces=True the MOT fluorescence of phases of at least one detector bin
+    and the stray light of such holds are synthesized too, and every trace
+    is a PhotonTrace. run raises TypeError when initial_n or runs is not an
+    integer, ValueError when initial_n < 0 or runs < 1.
     """
     det = physics.detector
     mot = physics.mot_rates
@@ -519,9 +521,9 @@ def bind_plan(plan: SequencePlan, physics: PhysicsBundle, traces: bool = False):
             elif cat == "detect":
                 if n4 is None:
                     n4 = _survival_draw(n, MIXED_STATE_P4, rng)
-                counts = [_burst_draw(k, burst, law, rng) for k in n4.tolist()]
+                counts = _burst_draw(n4, burst, law, rng)
                 out.append((cat, [PhotonTrace(0.0, burst.detection_bin, c) for c in counts]
-                            if traces else np.array(counts)))
+                            if traces else counts))
                 n4 = np.zeros_like(n)  # detection light pumps the atoms dark
 
         return RunRecord(prepared_n=prepared_n, prepared_state=prepared_state, traces=out,

@@ -1,8 +1,8 @@
 """Photon-count signal synthesis: MOT staircases and detection bursts.
 
-Counts are drawn from an inhomogeneous Poisson process with a
-piecewise-constant rate; bin means are computed by exact integration so
-rate changes need not align with bin edges.
+Each bin's count is Poisson, independent of the other bins, with its mean
+computed exactly: the integral of a piecewise-constant rate, so rate changes
+need not align with bin edges, or a bin's share of a detection burst.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinetics import StateTrajectory
+from .kinetics import StateTrajectory, nonnegative_integers
 
 __all__ = [
     "DetectorModel",
@@ -64,7 +64,8 @@ class BurstModel:
     Each F=4 atom emits an expected mean_photons_per_atom photons in a
     burst whose envelope decays exponentially with scale
     burst_duration_mean (the atom is optically pumped into the dark state
-    on that time scale). burst_count_logpmf states the law of a window's count.
+    on that time scale). Each bin's count is an independent Poisson draw of
+    its share of the burst and background; burst_count_logpmf states the window's law.
     """
 
     mean_photons_per_atom: float = 3.0
@@ -75,8 +76,8 @@ class BurstModel:
     def __post_init__(self):
         if not (self.mean_photons_per_atom >= 0 and self.background_photons_per_window >= 0):
             raise ValueError("photon numbers must be non-negative")
-        if not (self.burst_duration_mean > 0 and self.detection_bin > 0):
-            raise ValueError("time scales must be positive")
+        if not (0 < self.burst_duration_mean < np.inf and 0 < self.detection_bin < np.inf):
+            raise ValueError("time scales must be positive and finite")
 
 
 DETECTION_WINDOW_S = 2e-3  # the state-selective detection window, s
@@ -333,12 +334,12 @@ def synthesize_detection_burst(
 ) -> PhotonTrace:
     """Detection-window photon trace: bright F=4 bursts plus stray background.
 
-    Each F=4 atom contributes a Poisson number of photons (mean
-    mean_photons_per_atom) with arrival times drawn from an exponential
-    envelope of scale burst_duration_mean, truncated to the window; F=3
-    atoms stay dark. The background is Poisson and uniform in time. The
-    window's total count follows burst_count_logpmf. Raises TypeError when
-    n_f4 is not of an integer type and ValueError when it is negative.
+    Each bin's count is Poisson, independent of the other bins, with mean
+    n_f4 * mean_photons_per_atom times the bin's share of the exponential
+    envelope truncated to the window, plus its share of the uniform
+    background; F=3 atoms stay dark. The window's total count follows
+    burst_count_logpmf. Raises TypeError when n_f4 is not of an integer
+    type and ValueError when it is negative.
     """
     n_f4 = operator.index(nonnegative_integers(n_f4, "n_f4"))
     counts = _burst_draw(n_f4, model, _burst_law(model, window), rng)
@@ -362,44 +363,22 @@ def burst_count_logpmf(counts, k, model: BurstModel) -> np.ndarray:
     return np.where(mean > 0, loglik, np.where(counts > 0, -np.inf, 0.0))
 
 
-def nonnegative_integers(value, name: str) -> np.ndarray:
-    """value as an integer array; raises TypeError, naming it, when its entries
-    are not integers (a float is rejected, not truncated), ValueError when one
-    is negative or above the int64 range."""
-    value = np.asarray(value)
-    # numpy holds an int above int64 as uint64, or above that as a Python int
-    if value.dtype.kind not in "iuO" or value.dtype == object and not all(
-            type(v) is int for v in value.flat):
-        raise TypeError(f"{name} must be of an integer type, not {value.dtype}")
-    if (value < 0).any():
-        raise ValueError(f"{name} must be non-negative")
-    if value.dtype.kind != "i" and (value > 2**63 - 1).any():
-        raise ValueError(f"{name} must be at most 2**63 - 1")
-    return value
-
-
-def _burst_law(model: BurstModel, window: float) -> tuple[float, float, int]:
-    """(window, envelope CDF at the window's end, bin count) of a detection burst."""
+def _burst_law(model: BurstModel, window: float) -> tuple[np.ndarray, np.ndarray]:
+    """(share, background) per detection bin: a bright atom's share of photons under
+    the envelope truncated to the window, and the mean background count. The
+    bins are detection_bin wide but the last, which ends at the window."""
     if not 0 < window < np.inf:
         raise ValueError("window must be positive and finite")
-    cdf_end = 1.0 - np.exp(-window / model.burst_duration_mean)
-    return window, cdf_end, max(int(np.ceil(window / model.detection_bin - 1e-9)), 1)
+    n_bins = max(int(np.ceil(window / model.detection_bin - 1e-9)), 1)
+    edges = np.append(model.detection_bin * np.arange(n_bins), window)
+    cdf = -np.expm1(-edges / model.burst_duration_mean)
+    return np.diff(cdf) / cdf[-1], model.background_photons_per_window * np.diff(edges) / window
 
 
-def _burst_draw(n_f4: int, model: BurstModel, law: tuple[float, float, int],
+def _burst_draw(n_f4, model: BurstModel, law: tuple[np.ndarray, np.ndarray],
                 rng: np.random.Generator) -> np.ndarray:
-    """The photon counts per detection bin of one window holding n_f4 bright atoms."""
-    window, cdf_end, n_bins = law
-    arrivals = []
-    n_photons = int(rng.poisson(model.mean_photons_per_atom * n_f4)) if n_f4 else 0
-    if n_photons:
-        # inverse-CDF sample of the exponential envelope truncated to the window
-        u = rng.random(n_photons)
-        arrivals.append(-model.burst_duration_mean * np.log1p(-u * cdf_end))
-    n_bg = int(rng.poisson(model.background_photons_per_window))
-    if n_bg:
-        arrivals.append(rng.random(n_bg) * window)
-    if not arrivals:
-        return np.zeros(n_bins, dtype=np.int64)
-    idx = (np.concatenate(arrivals) / model.detection_bin).astype(int)
-    return np.bincount(np.minimum(idx, n_bins - 1), minlength=n_bins)
+    """Photon counts per detection bin of windows holding n_f4 bright atoms, each
+    Poisson with mean n_f4 * mean_photons_per_atom * share + background, in one
+    draw: one row of bins for an int n_f4, one row per run for an int array."""
+    share, background = law
+    return rng.poisson(np.multiply.outer(model.mean_photons_per_atom * n_f4, share) + background)

@@ -26,10 +26,10 @@ CONFIGS = {
 
 DIGESTS = {
     "detection_demo": {
-        "detection_demo.csv": "089f59f40e6743c6216f129d36e2689580535ffdd5b578a5c5da348fd18c714f",
-        "detection_demo.json": "30630084d3c4682274bcf44cbeb1d5a9deba1e62259e851a0835c4b3a817592e",
+        "detection_demo.csv": "79bc119a11af6874341298d7fd63576e4fe159f3a342edbf5b0f4226cd126560",
+        "detection_demo.json": "a11a5b1fb71dd5df5f358be56f172dd84f2869785e7a7db40ef5f5e431f731fd",
         "detection_demo_detect_f3.csv": "1f0fc57a3c1fde3cc51c79c63ee280851f39ccf761eca6df36030cf3f9f21a23",
-        "detection_demo_detect_f4.csv": "548a06747d7ec49c6eed95bf658f7d52a246867ee8aae33523556a9a30115a81",
+        "detection_demo_detect_f4.csv": "62a6e6ac5eb56ddea41af860f67363bf7e8a5b979b8dac26fa5d98139da16a31",
     },
     "lifetime": {
         "lifetime.csv": "91459b2fcb81ed3e1fcbb50eecd081539a0def8536d182843eea5585bc9cf77a",
@@ -45,8 +45,8 @@ DIGESTS = {
         "mot_monitor_mot_monitor.csv": "12175c3c9203aee2a0d6b62e251c7cf407f2950c16b91d41f952127ed6b4475f",
     },
     "relaxation": {
-        "relaxation.csv": "a1f1fc257e464febf00c702861f58adb1d724d1c367e6a3bc066f54e3010c2b8",
-        "relaxation.json": "de49eddb96be685909b1ca43b3a2802f1cdcf3fe703cf3a9f4c074f9fe9c54bc",
+        "relaxation.csv": "e7ec9490fd70f0b960a12ebf12542a2abfd4537f7e71121facf48855b8121094",
+        "relaxation.json": "78981ea19ca7ca03076299f3f7e101b4c92f8b9f14d230854533965cf806c531",
     },
     "transfer_efficiency": {
         "transfer_efficiency.csv": "634f7caa4394e5c29037566c8de751281a07d878744356e48803aa7eb0cbe670",

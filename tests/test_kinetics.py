@@ -126,6 +126,14 @@ class TestGillespie:
         with pytest.raises(ValueError):
             MotRates(two_body_loss_multiplicity=3)
 
+    @pytest.mark.parametrize("n0", [2.5, True, 3.0, float("nan")])
+    def test_non_integer_n0_rejected(self, n0):
+        # 2.5 ran as 2 atoms, True as 1 and 3.0 as 3, and NaN failed in int()
+        rng = run_stream(0, 0)
+        with pytest.raises(TypeError, match="^n0 must be of an integer type"):
+            gillespie_mot(MotRates(), n0, 1.0, rng)
+        assert rng.random() == run_stream(0, 0).random()  # nothing was drawn
+
     @pytest.mark.parametrize("t_max", [float("nan"), float("inf")])
     def test_non_finite_t_max_rejected(self, t_max):
         # the event loop ends only when an event falls past t_max, which never

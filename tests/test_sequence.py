@@ -787,7 +787,7 @@ def test_traced_sequence_golden():
                 for name, tr in rec.traces:
                     digest.update(repr((name, tr.t0, tr.bin_width, tr.counts.tolist())).encode())
     assert digest.hexdigest() == (
-        "be72d4b67f85a452c144a5ae4691238032008d3aacbf82e9dd9e6912cf9099fb")
+        "d016f1109e57b83e2bd2698cb1f99d6179fc2785ab9b7b0afcb8b6514a87c3bb")
 
 
 # Timelines valid by construction: storage, MOT and magnetic-trap blocks,
@@ -911,6 +911,20 @@ def test_bound_plan_makes_the_reference_draws(plan, physics, traces, initial_n):
         assert _record(_one_run(run(initial_n, bound), physics)) == _record(want)
         assert bound.log == reference.log
         assert bound.rng.random() == reference.rng.random()
+
+
+def test_untraced_detect_arm_draws_as_often_at_any_number_of_runs():
+    # a relaxation arm: each closed-form phase, the detection too, draws once
+    # for all the runs, from the binomial and Poisson laws only
+    run = bind_plan(compile_sequence(chain(build_protocol("prepare_f3"), 4.5,
+                                           build_protocol("detect"))), PhysicsBundle())
+    calls = []
+    for runs in (1, 30, 1000):
+        rng = _DrawLog(run_stream(76, 0))
+        run(3, rng, runs)
+        calls.append([name for name, _, _ in rng.log])
+    assert calls[0] == calls[1] == calls[2]
+    assert set(calls[0]) == {"binomial", "poisson"}
 
 
 # An arm's runs drawn at once against as many runs of the per-run reference,

@@ -25,6 +25,7 @@ from atomtrap.signals import (
     burst_count_logpmf,
     read_csv_table,
 )
+import burst_reference
 import csv_reference
 from two_sample import chi2_two_sample
 
@@ -241,6 +242,9 @@ class TestBurstCountLogpmf:
         ([3, 2**64], 1, ValueError, "counts must be at most 2**63 - 1"),
         (np.array([3, 1.5], dtype=object), 1, TypeError,
          "counts must be of an integer type, not object"),
+        # numpy reads these lists as floats: the first holds only ints
+        ([2**63, 1], 1, ValueError, "counts must be at most 2**63 - 1"),
+        ([2**63, 1.5], 1, TypeError, "counts must be of an integer type, not float64"),
     ])
     def test_non_integer_or_negative_arguments_raise(self, counts, k, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
@@ -257,6 +261,55 @@ class TestBurstCountLogpmf:
         pmf = np.exp(burst_count_logpmf(support, n_f4, model))
         drawn = run_stream(26, n_f4).choice(support, size=n, p=pmf / pmf.sum())
         assert chi2_two_sample(sums, drawn.tolist()) > 1e-3
+
+
+@pytest.mark.parametrize("window, n_bins", [(2e-3, 10), (0.5e-3, 3), (0.1e-3, 1), (2.05e-3, 11)])
+def test_burst_bin_means_sum_to_the_window_law(window, n_bins):
+    # the bins split a bright atom's photons and the background exactly, so
+    # their means add up to the mean of burst_count_logpmf's law
+    model = BurstModel()
+    share, background = signals._burst_law(model, window)
+    assert len(share) == len(background) == n_bins
+    assert share.sum() == pytest.approx(1.0, rel=1e-12)
+    assert background.sum() == pytest.approx(model.background_photons_per_window, rel=1e-12)
+    support = np.arange(200)
+    for k in (0, 1, 3):
+        pmf_mean = (support * np.exp(burst_count_logpmf(support, k, model))).sum()
+        means = k * model.mean_photons_per_atom * share + background
+        assert means.sum() == pytest.approx(pmf_mean, rel=1e-9)
+
+
+# The per-bin law against the per-photon sampler it replaced, 4000 windows
+# each: two-sample chi-square tests, rejected below p = 1e-3. The 0.5 ms
+# window ends in a partial third bin, and its truncation leaves 29 % of the
+# envelope outside, which the shares must put back into the window.
+_BURST_WINDOWS = {"2ms": 2e-3, "0.5ms": 0.5e-3}
+
+
+@pytest.mark.parametrize("window", _BURST_WINDOWS.values(), ids=_BURST_WINDOWS)
+@pytest.mark.parametrize("n_f4", [0, 1, 3])
+class TestBurstLawFollowsThePerPhotonSampler:
+    N = 4000
+
+    def windows(self, n_f4, window):
+        model, seed = BurstModel(), round(window * 1e4)
+        rng = run_stream(27 + seed, n_f4)
+        law = burst_reference._burst_law(model, window)
+        reference = np.array([burst_reference._burst_draw(n_f4, model, law, rng)
+                              for _ in range(self.N)])
+        drawn = signals._burst_draw(np.full(self.N, n_f4), model,
+                                    signals._burst_law(model, window), run_stream(47 + seed, n_f4))
+        assert drawn.shape == reference.shape
+        return reference, drawn
+
+    def test_window_sums(self, n_f4, window):
+        reference, drawn = self.windows(n_f4, window)
+        assert chi2_two_sample(reference.sum(axis=1).tolist(), drawn.sum(axis=1).tolist()) > 1e-3
+
+    def test_first_and_last_bins(self, n_f4, window):
+        reference, drawn = self.windows(n_f4, window)
+        pairs = [list(zip(c[:, 0].tolist(), c[:, -1].tolist())) for c in (reference, drawn)]
+        assert chi2_two_sample(*pairs) > 1e-3
 
 
 class TestPhotonTraceCsv:
@@ -554,3 +607,9 @@ class TestModels:
             DetectorModel(overlap_suppression=1.5)
         with pytest.raises(ValueError):
             BurstModel(mean_photons_per_atom=-1.0)
+
+    @pytest.mark.parametrize("name", ["burst_duration_mean", "detection_bin"])
+    def test_burst_time_scales_must_be_finite(self, name):
+        # an endless envelope puts no photon in any bin: its shares are 0 / 0
+        with pytest.raises(ValueError, match="^time scales must be positive and finite$"):
+            BurstModel(**{name: float("inf")})

@@ -253,17 +253,21 @@ def amplitude_for_factor(target: float, trap: TrapModel, order: int = 256) -> fl
         raise ValueError("target must be in (0, 1]")
     if target == 1.0:
         return 0.0
-    from scipy.optimize import brentq  # local: import atomtrap loads no scipy
 
     def f(a_m: float) -> float:
         return intensity_averaging_factor(a_m, trap, order=order) - target
 
-    hi = trap.waist
+    # the factor falls from 1 as the amplitude grows: bisect a bracket
+    # [lo, hi] with f(lo) > 0 >= f(hi) down to a relative width of 1e-6
+    lo, hi = 0.0, trap.waist
     while f(hi) > 0:
-        hi *= 1.5
+        lo, hi = hi, 1.5 * hi
         if hi > 50 * trap.waist:
             raise ValueError("target factor below the numerically achievable range")
-    return float(brentq(f, 0.0, hi, rtol=1e-6))
+    while hi - lo > 1e-6 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if f(mid) > 0 else (lo, mid)
+    return 0.5 * (lo + hi)
 
 
 def effective_relaxation_rates(trap: TrapModel) -> HyperfineRates:

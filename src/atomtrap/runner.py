@@ -18,11 +18,9 @@ from dataclasses import dataclass, field
 
 from . import physics, streams
 from .analysis import (
-    FitError,
     FitResult,
     classify_burst,
     fit_exponential_survival,
-    fit_relaxation,
     fit_relaxation_joint,
 )
 from .kinetics import HyperfineRates, MotRates, gillespie_mot
@@ -410,20 +408,9 @@ def _relaxation_experiment(cfg: ExperimentConfig) -> Dataset:
         else:
             p4_hat = 0.0
         points.append({"t_s": t_hold, "f_initial": f_init, "p4": p4_hat, "n": total_atoms})
-    fits = {}
     arm3, arm4 = ([(p["t_s"], p["p4"], p["n"]) for p in points
                    if p["f_initial"] == f and p["n"] > 0] for f in (3, 4))
-    # a per-arm fit raises FitError only on points that do not identify all
-    # three parameters (a flat arm, say); the joint fit is the headline
-    # estimator
-    for f_init, arm_points in ((3, arm3), (4, arm4)):
-        if len(arm_points) >= 3:
-            try:
-                fits[f"relaxation_f{f_init}"] = fit_relaxation(arm_points, f_initial=f_init)
-            except FitError:
-                pass
-    if arm3 and arm4:
-        fits["relaxation_joint"] = fit_relaxation_joint(arm3, arm4)
+    fits = {"relaxation_joint": fit_relaxation_joint(arm3, arm4)} if arm3 and arm4 else {}
     return _dataset(cfg, points, counters, fits)
 
 

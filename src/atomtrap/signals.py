@@ -15,6 +15,7 @@ import re
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -363,16 +364,21 @@ def burst_count_logpmf(counts, k, model: BurstModel) -> np.ndarray:
     return np.where(mean > 0, loglik, np.where(counts > 0, -np.inf, 0.0))
 
 
+@lru_cache
 def _burst_law(model: BurstModel, window: float) -> tuple[np.ndarray, np.ndarray]:
     """(share, background) per detection bin: a bright atom's share of photons under
     the envelope truncated to the window, and the mean background count. The
-    bins are detection_bin wide but the last, which ends at the window."""
+    bins are detection_bin wide but the last, which ends at the window. Cached
+    per (model, window), so both arrays are read-only."""
     if not 0 < window < np.inf:
         raise ValueError("window must be positive and finite")
     n_bins = max(int(np.ceil(window / model.detection_bin - 1e-9)), 1)
     edges = np.append(model.detection_bin * np.arange(n_bins), window)
     cdf = -np.expm1(-edges / model.burst_duration_mean)
-    return np.diff(cdf) / cdf[-1], model.background_photons_per_window * np.diff(edges) / window
+    law = np.diff(cdf) / cdf[-1], model.background_photons_per_window * np.diff(edges) / window
+    for a in law:
+        a.flags.writeable = False
+    return law
 
 
 def _burst_draw(n_f4, model: BurstModel, law: tuple[np.ndarray, np.ndarray],

@@ -46,7 +46,7 @@ DIGESTS = {
     },
     "relaxation": {
         "relaxation.csv": "e7ec9490fd70f0b960a12ebf12542a2abfd4537f7e71121facf48855b8121094",
-        "relaxation.json": "78981ea19ca7ca03076299f3f7e101b4c92f8b9f14d230854533965cf806c531",
+        "relaxation.json": "ade616f529976879ccdfca302035691a306fdf8699c6ca57ca4a704fc5fc8432",
     },
     "transfer_efficiency": {
         "transfer_efficiency.csv": "634f7caa4394e5c29037566c8de751281a07d878744356e48803aa7eb0cbe670",

@@ -1,6 +1,6 @@
 """The simulation layers do not depend on recovery, orchestration or the CLI,
-the package re-exports exactly each module's public names, and importing it
-loads no scipy."""
+the package re-exports exactly each module's public names, and it runs
+without scipy."""
 
 import ast
 import importlib
@@ -72,11 +72,34 @@ def test_package_namespace_is_the_union_of_the_module_alls():
                         for name in importlib.import_module(f"atomtrap.{module}").__all__}
 
 
-def test_import_loads_no_scipy():
-    # scipy serves only amplitude_for_factor, which imports it when called
-    code = ("import atomtrap, atomtrap.cli, sys; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def _run_python(code: str) -> str:
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    code = ("import atomtrap, atomtrap.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _run_python(code) == "[]"
+
+
+def test_amplitude_for_factor_runs_without_scipy():
+    # scipy is a test dependency only: the inverse of the averaging factor
+    # bisects, and matches scipy's brentq on the same bracket to 1e-6
+    from scipy.optimize import brentq
+
+    trap = atomtrap.TrapModel.from_beam(atomtrap.GaussianBeam(), atomtrap.AtomParams())
+
+    def f(a):
+        return atomtrap.intensity_averaging_factor(a, trap) - 0.125
+
+    hi = trap.waist
+    while f(hi) > 0:
+        hi *= 1.5
+    reference = brentq(f, 0.0, hi, rtol=1e-6)
+    code = ("import sys; sys.modules['scipy'] = None; import atomtrap; "
+            "trap = atomtrap.TrapModel.from_beam(atomtrap.GaussianBeam(), atomtrap.AtomParams()); "
+            "print(repr(atomtrap.amplitude_for_factor(0.125, trap)))")
+    assert float(_run_python(code)) == pytest.approx(reference, rel=1e-6)

@@ -276,6 +276,12 @@ class TestRunExperiment:
         tau = ds.fits["relaxation_joint"].parameters["tau"]
         assert 1.5 < tau < 8.0
 
+    def test_relaxation_exports_the_joint_fit_only(self):
+        # tau and p4_eq are shared by both prepared states, so one joint fit
+        # is the estimator; no per-arm fit is exported beside it
+        ds = run_experiment(small("relaxation", repetitions=5))
+        assert set(ds.fits) == {"relaxation_joint"}
+
     def test_mot_monitor(self):
         ds = run_experiment(small("mot_monitor", schedule_s="30"))
         assert ds.traces and ds.traces[0][0] == "mot_monitor"

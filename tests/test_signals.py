@@ -279,6 +279,22 @@ def test_burst_bin_means_sum_to_the_window_law(window, n_bins):
         assert means.sum() == pytest.approx(pmf_mean, rel=1e-9)
 
 
+def test_burst_law_is_cached_read_only():
+    # one law per (model, window): equal calls share the arrays, which no
+    # caller can change, and a bad window is checked on every call
+    law = signals._burst_law(BurstModel(), 2e-3)
+    again = signals._burst_law(BurstModel(), 2e-3)
+    assert all(a is b for a, b in zip(law, again))
+    for a in law:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    for window in (0.0, -1e-3, np.inf, np.nan):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="window"):
+                signals._burst_law(BurstModel(), window)
+
+
 # The per-bin law against the per-photon sampler it replaced, 4000 windows
 # each: two-sample chi-square tests, rejected below p = 1e-3. The 0.5 ms
 # window ends in a partial third bin, and its truncation leaves 29 % of the
